@@ -6,6 +6,7 @@
 #include "driver/report.h"
 #include "driver/sim_run.h"
 #include "driver/sweep.h"
+#include "test_temp_path.h"
 
 namespace wtpgsched {
 namespace {
@@ -131,7 +132,7 @@ TEST(ReportTest, Formatters) {
 TEST(ReportTest, CsvRoundTrip) {
   TablePrinter table({"a", "b"});
   table.AddRow({"1", "2"});
-  const std::string path = testing::TempDir() + "/report_test.csv";
+  const std::string path = UniqueTempPath("report_test.csv");
   ASSERT_TRUE(table.WriteCsv(path).ok());
   std::remove(path.c_str());
 }

@@ -10,6 +10,7 @@
 
 #include "machine/machine.h"
 #include "telemetry/gauge_registry.h"
+#include "test_temp_path.h"
 
 namespace wtpgsched {
 namespace {
@@ -63,7 +64,7 @@ TEST(TimelineRecorderTest, CsvRoundTrip) {
   store.Append(SecondsToTime(1), {3, 2, 1, 0.5, 5.5, 9});
   TimelineRecorder recorder;
   recorder.Attach(&store);
-  const std::string path = testing::TempDir() + "/timeline_test.csv";
+  const std::string path = UniqueTempPath("timeline_test.csv");
   ASSERT_TRUE(recorder.WriteCsv(path).ok());
   std::ifstream in(path);
   std::string header;

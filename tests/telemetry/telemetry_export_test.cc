@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/time.h"
+#include "test_temp_path.h"
 #include "telemetry/report_html.h"
 #include "trace/trace_export.h"
 #include "trace/trace_reader.h"
@@ -43,7 +44,7 @@ TEST(TelemetryExportTest, ToGaugeTracks) {
 
 TEST(TelemetryExportTest, WideCsv) {
   const TelemetryStore store = SmallStore();
-  const std::string path = testing::TempDir() + "/telemetry_test.csv";
+  const std::string path = UniqueTempPath("telemetry_test.csv");
   ASSERT_TRUE(WriteTelemetryCsv(store, path).ok());
   std::ifstream in(path);
   std::string header;
@@ -57,7 +58,7 @@ TEST(TelemetryExportTest, WideCsv) {
 
 TEST(TelemetryExportTest, JsonlHeaderAndRows) {
   const TelemetryStore store = SmallStore();
-  const std::string path = testing::TempDir() + "/telemetry_test.jsonl";
+  const std::string path = UniqueTempPath("telemetry_test.jsonl");
   ASSERT_TRUE(WriteTelemetryJsonl(store, path).ok());
   std::ifstream in(path);
   std::string header;
@@ -82,7 +83,7 @@ TEST(TelemetryExportTest, TraceGaugeRoundTrip) {
   meta.seed = 7;
   const std::vector<std::pair<std::string, uint64_t>> counters = {
       {"health.thrashing", 1}, {"restarts", 12}};
-  const std::string path = testing::TempDir() + "/telemetry_trace.jsonl";
+  const std::string path = UniqueTempPath("telemetry_trace.jsonl");
   ASSERT_TRUE(WriteJsonlTrace({}, meta, counters, /*dropped=*/0, path,
                               &tracks)
                   .ok());
@@ -131,7 +132,7 @@ TEST(ReportHtmlTest, WriteRunReport) {
   run.title = "r";
   run.gauge_names = {"g"};
   run.series = {{{1.0, 2.0}}};
-  const std::string path = testing::TempDir() + "/report_test.html";
+  const std::string path = UniqueTempPath("report_test.html");
   ASSERT_TRUE(WriteRunReport({run}, path).ok());
   const std::string html = Slurp(path);
   EXPECT_NE(html.find("<!DOCTYPE html>"), std::string::npos);

@@ -8,14 +8,11 @@
 #include <string>
 #include <vector>
 
+#include "test_temp_path.h"
 #include "trace/trace_reader.h"
 
 namespace wtpgsched {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
-}
 
 void WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::out | std::ios::trunc);
@@ -132,7 +129,7 @@ TEST(TraceExportTest, EventJsonOmitsUnsetFields) {
 }
 
 TEST(TraceExportTest, JsonlWriteReadRoundTrip) {
-  const std::string path = TempPath("roundtrip_trace.jsonl");
+  const std::string path = UniqueTempPath("roundtrip_trace.jsonl");
   const std::vector<TraceEvent> events = SampleEvents();
   TraceMeta meta;
   meta.scheduler = "LOW";
@@ -163,12 +160,13 @@ TEST(TraceExportTest, JsonlWriteReadRoundTrip) {
 
 TEST(TraceExportTest, MissingFileIsNotFound) {
   ParsedTrace parsed;
-  EXPECT_EQ(ReadJsonlTrace(TempPath("no_such_trace.jsonl"), &parsed).code(),
-            StatusCode::kNotFound);
+  EXPECT_EQ(
+      ReadJsonlTrace(UniqueTempPath("no_such_trace.jsonl"), &parsed).code(),
+      StatusCode::kNotFound);
 }
 
 TEST(TraceExportTest, WrongSchemaIsRejected) {
-  const std::string path = TempPath("bad_schema.jsonl");
+  const std::string path = UniqueTempPath("bad_schema.jsonl");
   WriteFile(path, "{\"schema\":\"wtpg-trace/999\"}\n");
   ParsedTrace parsed;
   EXPECT_FALSE(ReadJsonlTrace(path, &parsed).ok());
@@ -190,7 +188,7 @@ TEST(TraceExportTest, CorruptLinesAreErrors) {
       {"not an object", "garbage"},
   };
   for (const Case& c : cases) {
-    const std::string path = TempPath("corrupt_line.jsonl");
+    const std::string path = UniqueTempPath("corrupt_line.jsonl");
     WriteFile(path, header + c.line + "\n");
     ParsedTrace parsed;
     EXPECT_FALSE(ReadJsonlTrace(path, &parsed).ok()) << c.name;
@@ -199,7 +197,7 @@ TEST(TraceExportTest, CorruptLinesAreErrors) {
 }
 
 TEST(TraceExportTest, TruncatedTraceHasNoFooter) {
-  const std::string path = TempPath("truncated_trace.jsonl");
+  const std::string path = UniqueTempPath("truncated_trace.jsonl");
   WriteFile(path, std::string("{\"schema\":\"") + kTraceSchemaVersion +
                       "\"}\n{\"t\":1,\"type\":\"arrive\",\"txn\":1}\n");
   ParsedTrace parsed;
@@ -210,7 +208,7 @@ TEST(TraceExportTest, TruncatedTraceHasNoFooter) {
 }
 
 TEST(TraceExportTest, ChromeTraceIsBalancedJson) {
-  const std::string path = TempPath("chrome_trace.json");
+  const std::string path = UniqueTempPath("chrome_trace.json");
   TraceMeta meta;
   meta.scheduler = "LOW";
   meta.num_nodes = 2;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_temp_path.h"
+
 namespace wtpgsched {
 namespace {
 
@@ -33,7 +35,7 @@ TEST(CsvEscapeTest, NewlineQuoted) {
 }
 
 TEST(CsvWriterTest, WritesRows) {
-  const std::string path = testing::TempDir() + "/csv_test.csv";
+  const std::string path = UniqueTempPath("csv_test.csv");
   CsvWriter w;
   ASSERT_TRUE(w.Open(path).ok());
   w.WriteHeader({"x", "y"});
