@@ -23,6 +23,12 @@ class ControlNode {
     cpu_.Submit(cost, std::move(done));
   }
 
+  // `steps` zero-cost decisions served back to back as one job; `step`
+  // runs once per step (FcfsServer::SubmitSteps).
+  void SubmitSteps(size_t steps, FcfsServer::Callback step) {
+    cpu_.SubmitSteps(steps, std::move(step));
+  }
+
   // Named bursts for the Table-1 cost categories.
   void SubmitStartup(SimTime extra_cost, FcfsServer::Callback done) {
     cpu_.Submit(sot_time_ + extra_cost, std::move(done));
@@ -36,6 +42,7 @@ class ControlNode {
 
   double Utilization() const { return cpu_.Utilization(); }
   SimTime busy_time() const { return cpu_.busy_time(); }
+  // Queued decisions, counting each step of a multi-step job.
   size_t queue_length() const { return cpu_.queue_length(); }
 
  private:

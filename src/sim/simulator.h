@@ -63,6 +63,13 @@ class Simulator {
   uint64_t events_executed() const { return events_executed_; }
   size_t pending_events() const { return events_.size(); }
 
+  // True when a continuation due at Now() may run inline instead of as an
+  // event scheduled now: no other event is due at Now(), so it would be the
+  // next event executed anyway, and no schedule observer must see it.
+  bool CanContinueInline() const {
+    return observer_ == nullptr && events_.NextTime() > now_;
+  }
+
   // --- Sharded-engine driver interface (sim/sharded_simulator.*) ---
   // These let an external merge loop interleave this queue's events with
   // cross-shard deliveries while keeping Step()'s bookkeeping.
