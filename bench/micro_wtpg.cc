@@ -145,6 +145,29 @@ void BM_WouldCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_WouldCycle)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
+// Edge-table insert, find and erase around a hub node in the highest slot
+// that conflicts with every lower slot (C2PL's saturated graphs are full of
+// such hubs). Each iteration churns one leaf: RemoveNode erases its hub
+// edge, AddConflictEdge re-inserts it, FindEdge looks it up.
+void BM_EdgeTableHub(benchmark::State& state) {
+  const auto leaves = static_cast<TxnId>(state.range(0));
+  Wtpg g;
+  for (TxnId id = 1; id <= leaves + 1; ++id) g.AddNode(id, 1.0);
+  const TxnId hub = leaves + 1;
+  for (TxnId leaf = 1; leaf <= leaves; ++leaf) {
+    g.AddConflictEdge(leaf, hub, 1.0, 1.0);
+  }
+  TxnId leaf = 1;
+  for (auto _ : state) {
+    g.RemoveNode(leaf);
+    g.AddNode(leaf, 1.0);
+    g.AddConflictEdge(leaf, hub, 1.0, 1.0);
+    benchmark::DoNotOptimize(g.FindEdge(hub, leaf));
+    leaf = leaf % leaves + 1;
+  }
+}
+BENCHMARK(BM_EdgeTableHub)->Arg(64)->Arg(1024);
+
 void BM_ChainOptimize(benchmark::State& state) {
   const Wtpg g = RandomChain(static_cast<int>(state.range(0)), 5);
   const std::vector<TxnId> chain = ChainContaining(g, 1);

@@ -785,6 +785,17 @@ std::vector<std::pair<TxnId, TxnId>> Wtpg::UnorientedEdges() const {
   return result;
 }
 
+size_t Wtpg::LongestEdgeProbe() const {
+  size_t longest = 0;
+  const size_t mask = edge_buckets_.size() - 1;
+  for (size_t idx = 0; idx < edge_buckets_.size(); ++idx) {
+    const uint64_t key = edge_buckets_[idx].key;
+    if (key == kEmptyEdgeKey) continue;
+    longest = std::max(longest, ((idx - BucketFor(key)) & mask) + 1);
+  }
+  return longest;
+}
+
 bool Wtpg::CheckInvariants() const {
   // Slot map <-> slab bijection and free-list integrity.
   size_t live = 0;

@@ -304,5 +304,32 @@ TEST(WtpgTest, NeighborsAndUnorientedEdges) {
   EXPECT_EQ(g.Neighbors(1).size(), 2u);  // Orientation keeps adjacency.
 }
 
+// One hub in the highest slot conflicting with ~1,000 lower slots: the
+// edge keys differ only in their high halves. A bucket index taken from the
+// low bits of the hash product puts every such key on one home bucket and
+// turns each probe into a walk over the whole cluster.
+TEST(WtpgTest, HubEdgesSpreadOverTheEdgeTable) {
+  constexpr TxnId kLeaves = 1000;
+  Wtpg g;
+  for (TxnId id = 1; id <= kLeaves + 1; ++id) g.AddNode(id, 1.0);
+  const TxnId hub = kLeaves + 1;
+  for (TxnId leaf = 1; leaf <= kLeaves; ++leaf) {
+    g.AddConflictEdge(leaf, hub, 1.0, 1.0);
+  }
+  EXPECT_LE(g.LongestEdgeProbe(), 16u);
+  // Erase and re-insert a third of the edges through node churn.
+  for (TxnId leaf = 1; leaf <= kLeaves; leaf += 3) {
+    g.RemoveNode(leaf);
+    g.AddNode(leaf, 1.0);
+    g.AddConflictEdge(leaf, hub, 1.0, 1.0);
+  }
+  EXPECT_LE(g.LongestEdgeProbe(), 16u);
+  EXPECT_EQ(g.num_edges(), static_cast<size_t>(kLeaves));
+  for (TxnId leaf = 1; leaf <= kLeaves; ++leaf) {
+    ASSERT_NE(g.FindEdge(hub, leaf), nullptr) << leaf;
+  }
+  EXPECT_TRUE(g.CheckInvariants());
+}
+
 }  // namespace
 }  // namespace wtpgsched
