@@ -59,6 +59,23 @@ TEST(ChainFormTest, MultipleDisjointPaths) {
   EXPECT_TRUE(IsChainForm(g));  // Two paths plus an isolated node.
 }
 
+// The test walks the graph's slots, so freed and recycled slots and
+// back-to-back calls (fresh marks each time) must not confuse it.
+TEST(ChainFormTest, RecycledSlotsAndRepeatedCalls) {
+  Wtpg g = MakeChain({0, 0, 0, 0, 0}, {{1, 1}, {1, 1}, {1, 1}, {1, 1}});
+  g.RemoveNode(2);  // Frees a slot; splits the path in two.
+  EXPECT_TRUE(IsChainForm(g));
+  EXPECT_TRUE(IsChainForm(g));
+  // Node 6 takes the freed slot and closes the cycle 3-4-5-6.
+  g.AddNode(6, 0.0);
+  g.AddConflictEdge(5, 6, 1, 1);
+  g.AddConflictEdge(3, 6, 1, 1);
+  EXPECT_FALSE(IsChainForm(g));
+  EXPECT_FALSE(IsChainForm(g));
+  g.RemoveNode(4);
+  EXPECT_TRUE(IsChainForm(g));
+}
+
 TEST(CanExtendChainTest, NoConflictsAlwaysOk) {
   Wtpg g = MakeChain({0, 0}, {{1, 1}});
   EXPECT_TRUE(CanExtendChain(g, {}));
