@@ -37,6 +37,7 @@
 #include "util/json_writer.h"
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "workload/pattern.h"
 #include "wtpg/wtpg.h"
 
@@ -361,6 +362,7 @@ int main(int argc, char** argv) {
   JsonWriter json;
   json.Add("bench", "decision_cache")
       .Add("smoke", smoke)
+      .Add("hardware_threads", ThreadPool::HardwareThreads())
       .Add("sanitized", sanitized)
       .Add("c2pl_baseline_events_per_s", kC2plBaselineEventsPerS)
       .Add("c2pl_cached_events_per_s", c2pl_cached_events_per_s)

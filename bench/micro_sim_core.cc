@@ -34,6 +34,7 @@
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "workload/pattern.h"
 
 using namespace wtpgsched;
@@ -436,6 +437,7 @@ int main(int argc, char** argv) {
   JsonWriter json;
   json.Add("bench", "sim_core")
       .Add("smoke", smoke)
+      .Add("hardware_threads", ThreadPool::HardwareThreads())
       .Add("schedule_pop_speedup", schedule_pop_speedup)
       .AddRaw("queue", StrCat("[", queue_json, "]"))
       .AddRaw("end_to_end", StrCat("[", e2e_json, "]"));
