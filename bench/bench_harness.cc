@@ -1,9 +1,11 @@
-// bench_harness — wall-clock baseline for the parallel experiment harness.
+// bench_harness — replica scaling of the parallel experiment harness.
 //
-// Times one fixed multi-scheduler arrival-rate sweep (the Fig.-8 rate grid)
-// at --jobs=1 and --jobs=N, verifies the aggregates are byte-identical, and
-// writes BENCH_harness.json so future PRs can compare against today's
-// numbers.
+// Times one fixed multi-scheduler arrival-rate sweep (the Fig.-8 rate grid,
+// at the paper suite's horizon) at jobs = 1, 2, 4, ... up to the hardware
+// thread count, best of 3 per point, checks every run's aggregates are
+// byte-identical to the first jobs=1 run, and writes the curve to
+// BENCH_harness.json. On a 1-thread
+// host the curve is the single jobs=1 point.
 
 #include <chrono>
 #include <cstdio>
@@ -12,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/experiments.h"
 #include "driver/report.h"
 #include "driver/sweep.h"
 #include "machine/config.h"
@@ -24,6 +27,10 @@
 using namespace wtpgsched;
 
 namespace {
+
+// Best of kReps sweeps per point: the minimum is the run least disturbed by
+// other load on the host.
+constexpr int kReps = 3;
 
 constexpr SchedulerKind kSchedulers[] = {
     SchedulerKind::kLow, SchedulerKind::kGow, SchedulerKind::kC2pl};
@@ -57,10 +64,8 @@ double Seconds(std::chrono::steady_clock::time_point start,
 int main(int argc, char** argv) {
   FlagParser flags;
   flags.AddInt("seeds", 4, "seeds per data point");
-  flags.AddInt("jobs", 0,
-               "parallel worker count to compare against jobs=1 "
-               "(0 = hardware concurrency)");
-  flags.AddDouble("horizon-ms", 300'000, "simulated milliseconds per replica");
+  flags.AddDouble("horizon-ms", BenchOptions{}.horizon_ms,
+                  "simulated milliseconds per replica");
   flags.AddString("out", "BENCH_harness.json", "result file");
   flags.AddBool("progress", false,
                 "show a replicas-completed status line on stderr (only when "
@@ -87,61 +92,62 @@ int main(int argc, char** argv) {
   const std::vector<double> rates = {0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4};
   const int seeds = static_cast<int>(flags.GetInt("seeds"));
   const double horizon_ms = flags.GetDouble("horizon-ms");
-  int jobs = static_cast<int>(flags.GetInt("jobs"));
-  if (jobs <= 0) jobs = ThreadPool::HardwareThreads();
   const int replicas = static_cast<int>(std::size(kSchedulers) *
                                         rates.size()) * seeds;
+  const int hardware_threads = ThreadPool::HardwareThreads();
+  std::vector<int> curve_jobs;
+  for (int jobs = 1; jobs < hardware_threads; jobs *= 2) {
+    curve_jobs.push_back(jobs);
+  }
+  curve_jobs.push_back(hardware_threads);
 
   std::printf("harness bench: %zu schedulers x %zu rates x %d seeds = %d "
-              "replicas, horizon %.0f ms\n",
+              "replicas, horizon %.0f ms, %d hardware threads\n",
               std::size(kSchedulers), rates.size(), seeds, replicas,
-              horizon_ms);
+              horizon_ms, hardware_threads);
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::string serial = RunSweep(rates, seeds, horizon_ms, /*jobs=*/1);
-  const auto t1 = std::chrono::steady_clock::now();
-  const std::string parallel = RunSweep(rates, seeds, horizon_ms, jobs);
-  const auto t2 = std::chrono::steady_clock::now();
-
-  const double wall_serial_s = Seconds(t0, t1);
-  const double wall_parallel_s = Seconds(t1, t2);
-  const bool identical = serial == parallel;
-  // On a single-hardware-thread container the jobs=N run just adds pool
-  // overhead — a "speedup" there is a measurement confound, not a result.
-  // The wall times and the byte-identity check stay meaningful; the speedup
-  // claim does not, so it is reported only with >= 2 hardware threads.
-  const int hardware_threads = ThreadPool::HardwareThreads();
-  const bool speedup_meaningful = hardware_threads >= 2;
-  const double speedup =
-      wall_parallel_s > 0.0 ? wall_serial_s / wall_parallel_s : 0.0;
-
-  std::printf("hardware threads: %d%s\n", hardware_threads,
-              speedup_meaningful
-                  ? ""
-                  : " (speedup not meaningful on 1 hardware thread)");
   TablePrinter table({"jobs", "wall(s)", "speedup", "identical"});
-  table.AddRow({"1", FormatDouble(wall_serial_s, 2), "1.00", "-"});
-  table.AddRow({StrCat(jobs), FormatDouble(wall_parallel_s, 2),
-                speedup_meaningful ? FormatDouble(speedup, 2) : "n/a",
-                identical ? "yes" : "NO"});
+  std::string baseline;
+  double wall_jobs1_s = 0.0;
+  bool identical = true;
+  std::string curve_json;
+  for (int jobs : curve_jobs) {
+    double wall_s = 0.0;
+    bool same = true;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      const std::string output = RunSweep(rates, seeds, horizon_ms, jobs);
+      const double rep_s = Seconds(start, std::chrono::steady_clock::now());
+      if (rep == 0 || rep_s < wall_s) wall_s = rep_s;
+      if (baseline.empty()) baseline = output;
+      same = same && output == baseline;
+    }
+    if (jobs == 1) wall_jobs1_s = wall_s;
+    identical = identical && same;
+    const double speedup = wall_s > 0.0 ? wall_jobs1_s / wall_s : 0.0;
+    table.AddRow({StrCat(jobs), FormatDouble(wall_s, 2),
+                  FormatDouble(speedup, 2), same ? "yes" : "NO"});
+    JsonWriter point;
+    point.Add("jobs", jobs)
+        .Add("wall_s", wall_s)
+        .Add("speedup", speedup)
+        .Add("outputs_identical", same);
+    if (!curve_json.empty()) curve_json += ',';
+    curve_json += point.ToString();
+  }
   table.Print();
 
   JsonWriter json;
   json.Add("bench", "harness_sweep")
       .Add("hardware_threads", hardware_threads)
-      .Add("speedup_meaningful", speedup_meaningful)
       .Add("replicas", replicas)
       .Add("schedulers", static_cast<int>(std::size(kSchedulers)))
       .Add("rates", static_cast<int>(rates.size()))
       .Add("seeds", seeds)
       .Add("horizon_ms", horizon_ms)
-      .Add("jobs", jobs)
-      .Add("wall_s_jobs1", wall_serial_s)
-      .Add("wall_s_jobsN", wall_parallel_s);
-  if (speedup_meaningful) {
-    json.Add("speedup", speedup);
-  }
-  json.Add("outputs_identical", identical);
+      .Add("reps", kReps)
+      .AddRaw("curve", StrCat("[", curve_json, "]"))
+      .Add("outputs_identical", identical);
   const std::string out_path = flags.GetString("out");
   std::ofstream out(out_path);
   out << json.ToString() << "\n";

@@ -72,7 +72,6 @@ BenchOptions GetBenchOptions() {
   options.rt_tol_s = EnvDouble("WTPG_RT_TOL", options.rt_tol_s);
   options.horizon_ms = EnvDouble("WTPG_HORIZON_MS", options.horizon_ms);
   options.jobs = EnvInt("WTPG_JOBS", options.jobs);
-  options.shards = EnvInt("WTPG_SHARDS", options.shards);
   const char* dir = std::getenv("WTPG_CSV_DIR");
   if (dir != nullptr) options.csv_dir = dir;
   return options;
@@ -137,7 +136,6 @@ std::vector<OpenWorldRun> RunOpenWorld(const OpenWorldSpec& spec,
     config.run.tail_metrics = true;
     config.run.tail_sketch = sketch;
     config.run.horizon_ms = options.horizon_ms;
-    config.run.shards = options.shards;
     bases.push_back(config);
   }
   const std::vector<AggregateResult> results =

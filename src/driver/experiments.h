@@ -48,10 +48,6 @@ struct BenchOptions {
   // Worker threads for the replica fan-out (0 = DefaultJobs(): WTPG_JOBS
   // env or hardware concurrency). Results are identical for any value.
   int jobs = 0;
-  // Sharded-clock PDES shards within each run (0 = serial engine; WTPG_SHARDS
-  // env). Results are byte-identical for any value; RunReplicas caps the
-  // replica fan-out so shards x jobs never oversubscribes the hardware.
-  int shards = 0;
 };
 
 BenchOptions GetBenchOptions();

@@ -1,7 +1,5 @@
 #include "driver/sim_run.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 
@@ -89,27 +87,7 @@ template <typename Workload>
 std::vector<RunStats> RunReplicasImpl(const std::vector<SimConfig>& configs,
                                       const Workload& workload, int jobs) {
   std::vector<RunStats> results(configs.size());
-  int workers = ResolveJobs(jobs);
-  // A sharded replica (run.shards > 0) spins up `shards` engine threads on
-  // top of the replica's own thread, so the effective thread demand is
-  // jobs * (shards + 1). Cap it at the hardware concurrency: shards win
-  // (the point of --shards is within-run speedup) and the replica fan-out
-  // shrinks. Results are unaffected — only scheduling changes.
-  int max_shards = 0;
-  for (const SimConfig& config : configs) {
-    max_shards = std::max(max_shards, config.run.shards);
-  }
-  if (max_shards > 0 && workers > 1) {
-    const int hw = ThreadPool::HardwareThreads();
-    const int cap = std::max(1, hw / (max_shards + 1));
-    if (workers > cap) {
-      std::fprintf(stderr,
-                   "wtpg: capping replica jobs %d -> %d (%d-shard runs need "
-                   "%d threads each; %d hardware threads)\n",
-                   workers, cap, max_shards, max_shards + 1, hw);
-      workers = cap;
-    }
-  }
+  const int workers = ResolveJobs(jobs);
   // Inert unless a tool enabled --progress (and stderr is a TTY or the
   // mode is forced); see util/progress.h.
   ProgressMeter progress("replicas", configs.size());

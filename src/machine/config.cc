@@ -136,9 +136,6 @@ Status SimConfig::Validate() const {
         "tail_sketch requires tail_metrics (the sketch only feeds the tail "
         "percentiles)");
   }
-  if (run.shards < 0 || run.shards > 256) {
-    return Status::InvalidArgument("shards must be in [0, 256]");
-  }
   return fault.Validate();
 }
 
@@ -197,7 +194,6 @@ std::string RunToJson(const RunSection& r) {
       .Add("trace_capacity", r.trace_capacity)
       .Add("tail_metrics", r.tail_metrics)
       .Add("tail_sketch", r.tail_sketch)
-      .Add("shards", r.shards)
       .Add("seed", r.seed);
   return w.ToString();
 }
@@ -234,23 +230,24 @@ Status ReadDouble(const std::string& section, const std::string& key,
   return Status::Ok();
 }
 
+// Reads a whole number that T can hold. The range is checked before the
+// cast: casting an out-of-range double is undefined behaviour.
+template <typename T>
 Status ReadInt(const std::string& section, const std::string& key,
-               const JsonValue& v, int* out) {
-  if (v.type() != JsonValue::Type::kNumber ||
-      v.number_value() != std::floor(v.number_value())) {
-    return FieldError(section, key, "expected an integer");
+               const JsonValue& v, T* out) {
+  constexpr T kLo = std::numeric_limits<T>::min();
+  constexpr T kHi = std::numeric_limits<T>::max();
+  // kLo and kHi + 1 are zero or powers of two, so both bounds are exact
+  // doubles.
+  const double lo = static_cast<double>(kLo);
+  const double hi_exclusive = 2.0 * static_cast<double>(kHi / 2 + 1);
+  const bool is_number = v.type() == JsonValue::Type::kNumber;
+  const double x = is_number ? v.number_value() : 0.0;
+  if (!is_number || !(x >= lo && x < hi_exclusive) || x != std::floor(x)) {
+    return FieldError(section, key,
+                      StrCat("expected an integer in [", kLo, ", ", kHi, "]"));
   }
-  *out = static_cast<int>(v.number_value());
-  return Status::Ok();
-}
-
-Status ReadUint64(const std::string& section, const std::string& key,
-                  const JsonValue& v, uint64_t* out) {
-  if (v.type() != JsonValue::Type::kNumber || v.number_value() < 0.0 ||
-      v.number_value() != std::floor(v.number_value())) {
-    return FieldError(section, key, "expected a non-negative integer");
-  }
-  *out = static_cast<uint64_t>(v.number_value());
+  *out = static_cast<T>(x);
   return Status::Ok();
 }
 
@@ -310,7 +307,7 @@ Status ParseWorkload(const JsonValue& obj, WorkloadSection* wl) {
     } else if (key == "error_sigma") {
       s = ReadDouble("workload", key, v, &wl->error_sigma);
     } else if (key == "max_arrivals") {
-      s = ReadUint64("workload", key, v, &wl->max_arrivals);
+      s = ReadInt("workload", key, v, &wl->max_arrivals);
     } else if (key == "zipf_theta") {
       s = ReadDouble("workload", key, v, &wl->zipf_theta);
     } else {
@@ -337,19 +334,17 @@ Status ParseRun(const JsonValue& obj, RunSection* r) {
     } else if (key == "telemetry_sample_ms") {
       s = ReadDouble("run", key, v, &r->telemetry_sample_ms);
     } else if (key == "telemetry_capacity") {
-      s = ReadUint64("run", key, v, &r->telemetry_capacity);
+      s = ReadInt("run", key, v, &r->telemetry_capacity);
     } else if (key == "trace_enabled") {
       s = ReadBool("run", key, v, &r->trace_enabled);
     } else if (key == "trace_capacity") {
-      s = ReadUint64("run", key, v, &r->trace_capacity);
+      s = ReadInt("run", key, v, &r->trace_capacity);
     } else if (key == "tail_metrics") {
       s = ReadBool("run", key, v, &r->tail_metrics);
     } else if (key == "tail_sketch") {
       s = ReadBool("run", key, v, &r->tail_sketch);
-    } else if (key == "shards") {
-      s = ReadInt("run", key, v, &r->shards);
     } else if (key == "seed") {
-      s = ReadUint64("run", key, v, &r->seed);
+      s = ReadInt("run", key, v, &r->seed);
     } else {
       s = FieldError("run", key, "unknown key");
     }

@@ -118,12 +118,6 @@ struct RunSection {
   // the O(1)-state P² sketch for long-horizon runs.
   bool tail_metrics = false;
   bool tail_sketch = false;
-  // Sharded-clock PDES engine (sim/sharded_simulator.*, DESIGN.md
-  // section 13): > 0 partitions the DPNs across this many worker shards,
-  // each with its own clock, with the CN+scheduler as the sync shard.
-  // Outputs are byte-identical to the serial engine at any shard count; 0
-  // (default) keeps the serial engine with zero overhead.
-  int shards = 0;
   uint64_t seed = 1;
 };
 

@@ -11,91 +11,54 @@
 
 namespace wtpgsched {
 
-// The machine-facing surface of a data-processing node (paper Section 4.1,
-// item 3): scans objects at ObjTime per object, serving resident cohorts
-// round-robin; when a file is declustered DD ways, each round-robin turn
-// scans 1/DD object (Section 4.1, item 4).
+// A data-processing node (paper Section 4.1, item 3): scans objects at
+// ObjTime per object, serving resident cohorts round-robin on a
+// RoundRobinServer; when a file is declustered DD ways, each round-robin
+// turn scans 1/DD object (Section 4.1, item 4).
 //
 // Fault surface (see src/fault/): Crash() fails every resident cohort and
 // marks the node down until Repair(); set_slowdown() stretches the service
 // time of subsequently submitted cohorts (straggler windows). The machine —
 // not the node — decides what happens to the transactions whose cohorts
 // die.
-//
-// Two implementations: Dpn (below) runs its scan server on the machine's
-// own simulator; ShardedDpnProxy (machine/sharded_dpn.h) fronts a server
-// resident on a worker shard of the sharded-clock engine. The machine model
-// is identical against either.
-class DpnPort {
+class Dpn {
  public:
-  virtual ~DpnPort() = default;
+  Dpn(Simulator* sim, NodeId id, double obj_time_ms);
 
-  virtual NodeId id() const = 0;
+  NodeId id() const { return id_; }
 
   // Runs a cohort scanning `objects` (possibly fractional) with a
   // round-robin quantum of `quantum_objects`; `done` fires at completion.
   // Returns the job id, the handle for CancelCohort().
-  virtual RoundRobinServer::JobId SubmitCohort(
-      double objects, double quantum_objects,
-      RoundRobinServer::Callback done) = 0;
+  RoundRobinServer::JobId SubmitCohort(double objects, double quantum_objects,
+                                       RoundRobinServer::Callback done);
 
   // Abandons a resident cohort: its completion callback never fires and its
   // remaining work leaves the backlog (partial slices already served are
   // lost). No-op when the cohort already completed.
-  virtual void CancelCohort(RoundRobinServer::JobId job) = 0;
+  void CancelCohort(RoundRobinServer::JobId job);
 
   // Fails the node: every resident cohort is abandoned and the node refuses
   // new work (the machine checks up() before dispatching) until Repair().
-  virtual void Crash() = 0;
+  void Crash();
 
   // Brings the node back at full speed with its placement intact.
-  virtual void Repair() = 0;
+  void Repair();
 
-  virtual bool up() const = 0;
+  bool up() const { return up_; }
 
   // Service-time multiplier (>= 1) applied to cohorts submitted from now
   // on; already-resident cohorts keep their original slice times.
-  virtual void set_slowdown(double factor) = 0;
-  virtual double slowdown() const = 0;
+  void set_slowdown(double factor) { slowdown_ = factor; }
+  double slowdown() const { return slowdown_; }
 
   // Objects of scan work currently queued or in progress.
-  virtual double BacklogObjects() const = 0;
+  double BacklogObjects() const;
 
-  virtual size_t active_cohorts() const = 0;
-  virtual double Utilization() const = 0;
-  virtual SimTime busy_time() const = 0;
-  virtual uint64_t cohorts_completed() const = 0;
-};
-
-// The serial-engine node: owns a RoundRobinServer on the machine's
-// simulator.
-class Dpn : public DpnPort {
- public:
-  Dpn(Simulator* sim, NodeId id, double obj_time_ms);
-
-  NodeId id() const override { return id_; }
-
-  RoundRobinServer::JobId SubmitCohort(double objects, double quantum_objects,
-                                       RoundRobinServer::Callback done)
-      override;
-
-  void CancelCohort(RoundRobinServer::JobId job) override;
-  void Crash() override;
-  void Repair() override;
-
-  bool up() const override { return up_; }
-
-  void set_slowdown(double factor) override { slowdown_ = factor; }
-  double slowdown() const override { return slowdown_; }
-
-  double BacklogObjects() const override;
-
-  size_t active_cohorts() const override { return server_.active_jobs(); }
-  double Utilization() const override { return server_.Utilization(); }
-  SimTime busy_time() const override { return server_.busy_time(); }
-  uint64_t cohorts_completed() const override {
-    return server_.jobs_completed();
-  }
+  size_t active_cohorts() const { return server_.active_jobs(); }
+  double Utilization() const { return server_.Utilization(); }
+  SimTime busy_time() const { return server_.busy_time(); }
+  uint64_t cohorts_completed() const { return server_.jobs_completed(); }
 
  private:
   void OnCohortDone(RoundRobinServer::JobId job);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "machine/sharded_dpn.h"
 #include "sched/low_lb.h"
 #include "sched/scheduler_factory.h"
 #include "util/logging.h"
@@ -69,22 +68,8 @@ Machine::Machine(const SimConfig& config, WorkloadGenerator workload,
   WTPG_CHECK_LT(workload_.MaxFileId(), config.machine.num_files)
       << "pattern references files beyond num_files";
   dpns_.reserve(static_cast<size_t>(config.machine.num_nodes));
-  if (config.run.shards > 0) {
-    // Sharded-clock PDES (DESIGN.md section 13). The reaction floor is the
-    // two CN message hops (step-return receive + dispatch send) every
-    // completion-to-dispatch path crosses.
-    engine_ = std::make_unique<ShardedEngine>(
-        &sim_, config.run.shards, 2 * MsToTime(config.costs.msg_time_ms));
-    for (int i = 0; i < config.machine.num_nodes; ++i) {
-      dpns_.push_back(std::make_unique<ShardedDpnProxy>(
-          engine_.get(), &sim_, i % config.run.shards, i,
-          config.costs.obj_time_ms));
-    }
-  } else {
-    for (int i = 0; i < config.machine.num_nodes; ++i) {
-      dpns_.push_back(
-          std::make_unique<Dpn>(&sim_, i, config.costs.obj_time_ms));
-    }
+  for (int i = 0; i < config.machine.num_nodes; ++i) {
+    dpns_.push_back(std::make_unique<Dpn>(&sim_, i, config.costs.obj_time_ms));
   }
   if (auto* low_lb = dynamic_cast<LowLbScheduler*>(scheduler_.get())) {
     low_lb->set_load_probe(
@@ -247,11 +232,7 @@ RunStats Machine::Run() {
   }
   ScheduleNextArrival();
   ScheduleTelemetrySample();
-  if (engine_ != nullptr) {
-    engine_->Run(config_.horizon());
-  } else {
-    sim_.RunUntil(config_.horizon());
-  }
+  sim_.RunUntil(config_.horizon());
 
   double mean_util = 0.0;
   double max_util = 0.0;
@@ -533,7 +514,7 @@ void Machine::StartCohorts(TxnId id) {
   SlotOf(id).cohorts_remaining = dd;
   for (int c = 0; c < dd; ++c) {
     const NodeId node = placement_.NodeFor(spec.file, c);
-    DpnPort& dpn = *dpns_[static_cast<size_t>(node)];
+    Dpn& dpn = *dpns_[static_cast<size_t>(node)];
     trace_.Record({.time = sim_.Now(),
                    .type = TraceEventType::kScanStart,
                    .txn = id,
@@ -680,7 +661,7 @@ void Machine::OnFaultEvent(const FaultEvent& event) {
       OnDpnCrash(event.node);
       break;
     case FaultEventKind::kDpnRepair: {
-      DpnPort& dpn = *dpns_[static_cast<size_t>(event.node)];
+      Dpn& dpn = *dpns_[static_cast<size_t>(event.node)];
       if (dpn.up()) break;
       dpn.Repair();
       FaultCounter("fault.repairs") += 1;
@@ -690,7 +671,7 @@ void Machine::OnFaultEvent(const FaultEvent& event) {
       break;
     }
     case FaultEventKind::kSlowdownStart: {
-      DpnPort& dpn = *dpns_[static_cast<size_t>(event.node)];
+      Dpn& dpn = *dpns_[static_cast<size_t>(event.node)];
       // A window opening on a crashed node is lost: the node comes back
       // from repair at full speed.
       if (!dpn.up()) break;
@@ -704,7 +685,7 @@ void Machine::OnFaultEvent(const FaultEvent& event) {
       break;
     }
     case FaultEventKind::kSlowdownEnd: {
-      DpnPort& dpn = *dpns_[static_cast<size_t>(event.node)];
+      Dpn& dpn = *dpns_[static_cast<size_t>(event.node)];
       if (!dpn.up() || dpn.slowdown() == 1.0) break;
       dpn.set_slowdown(1.0);
       trace_.Record({.time = sim_.Now(),
@@ -721,7 +702,7 @@ void Machine::OnFaultEvent(const FaultEvent& event) {
 }
 
 void Machine::OnDpnCrash(NodeId node) {
-  DpnPort& dpn = *dpns_[static_cast<size_t>(node)];
+  Dpn& dpn = *dpns_[static_cast<size_t>(node)];
   if (!dpn.up()) return;
   FaultCounter("fault.crashes") += 1;
   trace_.Record({.time = sim_.Now(),

@@ -14,7 +14,6 @@
 #include "machine/data_placement.h"
 #include "machine/dpn.h"
 #include "metrics/stats.h"
-#include "sim/sharded_simulator.h"
 #include "metrics/timeline.h"
 #include "model/transaction.h"
 #include "sched/scheduler.h"
@@ -97,11 +96,6 @@ class Machine {
   // Transactions arrived but not yet committed.
   size_t in_flight() const { return in_flight_; }
 
-  // Sharded-clock PDES engine; null in serial runs (run.shards == 0).
-  // Exposes per-shard event counts and the deep-tie diagnostic for
-  // --progress reporting.
-  const ShardedEngine* sharded_engine() const { return engine_.get(); }
-
   // Retry-storm visibility: lock/startup decisions re-run for transactions
   // that were already parked, and lock decisions resolved by the
   // pure_lock_block fast path without invoking the scheduler. Host-side
@@ -181,16 +175,11 @@ class Machine {
 
   SimConfig config_;
   Simulator sim_;
-  // Sharded-clock PDES engine (DESIGN.md section 13); null in serial runs
-  // (config.run.shards == 0). Declared right after sim_: its destructor
-  // joins the worker threads and detaches the schedule observer, so it must
-  // die before sim_ and may die after everything that routes ops to it.
-  std::unique_ptr<ShardedEngine> engine_;
   DataPlacement placement_;
   WorkloadGenerator workload_;
   std::unique_ptr<Scheduler> scheduler_;
   ControlNode cn_;
-  std::vector<std::unique_ptr<DpnPort>> dpns_;
+  std::vector<std::unique_ptr<Dpn>> dpns_;
   StatsCollector stats_;
   ScheduleLog log_;
   std::unique_ptr<Telemetry> telemetry_;

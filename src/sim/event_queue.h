@@ -57,13 +57,6 @@ class EventQueue {
   // Timestamp of the next event; kSimTimeMax when empty.
   SimTime NextTime() const;
 
-  // Id of the event Pop() would return. Requires !empty(). Lets an external
-  // merge loop (sim/sharded_simulator.*) look up per-event metadata before
-  // deciding whether this queue or a cross-shard channel goes next.
-  EventId NextId() const {
-    return MakeId(heap_[0].idx, slab_[heap_[0].idx].generation);
-  }
-
   // Pops and returns the next event. Requires !empty().
   Event Pop();
 

@@ -17,12 +17,11 @@ namespace wtpgsched {
 // A multi-step job (SubmitSteps) is N zero-cost jobs sharing one callback,
 // served back to back. Its steps behave exactly like N single jobs: each
 // step enters service when the previous one completes, before the previous
-// step's callback runs. When no other event is due at Now() (and no
-// schedule observer is attached), the single-job path's next event would
-// be that step's own completion, so the server runs it inline instead of
-// through the event queue. Otherwise it schedules the completion at Now(),
-// as a single job would. Only events_executed() and pending_events() can
-// tell the two paths apart.
+// step's callback runs. When no other event is due at Now(), the
+// single-job path's next event would be that step's own completion, so the
+// server runs it inline instead of through the event queue. Otherwise it
+// schedules the completion at Now(), as a single job would. Only
+// events_executed() and pending_events() can tell the two paths apart.
 class FcfsServer {
  public:
   using Callback = InplaceFunction<void(), EventQueue::kInlineCallbackBytes>;

@@ -11,16 +11,12 @@ EventQueue::EventId Simulator::ScheduleAfter(SimTime delay,
   // A negative delay is always an upstream cost-accounting bug; silently
   // clamping it to "now" would mask it.
   WTPG_CHECK_GE(delay, 0) << "negative delay passed to ScheduleAfter";
-  const EventQueue::EventId id = events_.Schedule(now_ + delay, std::move(cb));
-  if (observer_ != nullptr) observer_->OnSchedule(id, now_ + delay);
-  return id;
+  return events_.Schedule(now_ + delay, std::move(cb));
 }
 
 EventQueue::EventId Simulator::ScheduleAt(SimTime at, EventQueue::Callback cb) {
   WTPG_CHECK_GE(at, now_) << "cannot schedule events in the past";
-  const EventQueue::EventId id = events_.Schedule(at, std::move(cb));
-  if (observer_ != nullptr) observer_->OnSchedule(id, at);
-  return id;
+  return events_.Schedule(at, std::move(cb));
 }
 
 bool Simulator::Step(SimTime horizon) {
@@ -38,27 +34,6 @@ void Simulator::RunUntil(SimTime horizon) {
   while (Step(horizon)) {
   }
   if (horizon != kSimTimeMax && now_ < horizon) now_ = horizon;
-}
-
-bool Simulator::PeekNext(SimTime* time, EventQueue::EventId* id) const {
-  if (events_.empty()) return false;
-  *time = events_.NextTime();
-  *id = events_.NextId();
-  return true;
-}
-
-EventQueue::Event Simulator::PopForExecution() {
-  EventQueue::Event event = events_.Pop();
-  WTPG_CHECK_GE(event.time, now_);
-  now_ = event.time;
-  ++events_executed_;
-  return event;
-}
-
-void Simulator::AdvanceClockTo(SimTime to) {
-  WTPG_CHECK_GE(to, now_) << "clock cannot move backwards";
-  WTPG_CHECK_LE(to, events_.NextTime()) << "clock cannot pass the head event";
-  now_ = to;
 }
 
 }  // namespace wtpgsched

@@ -13,26 +13,11 @@ namespace wtpgsched {
 // schedule callbacks on it.
 class Simulator {
  public:
-  // Hook for the sharded engine (sim/sharded_simulator.*): sees every
-  // schedule/cancel so a deterministic merge key can be maintained per
-  // pending event. Unset — one predictable branch per schedule — in serial
-  // runs.
-  class ScheduleObserver {
-   public:
-    virtual ~ScheduleObserver() = default;
-    virtual void OnSchedule(EventQueue::EventId id, SimTime at) = 0;
-    virtual void OnCancel(EventQueue::EventId id) = 0;
-  };
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime Now() const { return now_; }
-
-  void set_schedule_observer(ScheduleObserver* observer) {
-    observer_ = observer;
-  }
 
   // Schedules `cb` `delay` after the current time. Negative delays are a
   // programming error (CHECK-fails): they always indicate a cost-accounting
@@ -42,11 +27,7 @@ class Simulator {
   // Schedules `cb` at absolute time `at` (>= Now()).
   EventQueue::EventId ScheduleAt(SimTime at, EventQueue::Callback cb);
 
-  bool Cancel(EventQueue::EventId id) {
-    const bool canceled = events_.Cancel(id);
-    if (observer_ != nullptr && canceled) observer_->OnCancel(id);
-    return canceled;
-  }
+  bool Cancel(EventQueue::EventId id) { return events_.Cancel(id); }
 
   // Runs events in order until the queue drains or the clock would pass
   // `horizon`. Events scheduled exactly at `horizon` are executed. The clock
@@ -65,30 +46,11 @@ class Simulator {
 
   // True when a continuation due at Now() may run inline instead of as an
   // event scheduled now: no other event is due at Now(), so it would be the
-  // next event executed anyway, and no schedule observer must see it.
-  bool CanContinueInline() const {
-    return observer_ == nullptr && events_.NextTime() > now_;
-  }
-
-  // --- Sharded-engine driver interface (sim/sharded_simulator.*) ---
-  // These let an external merge loop interleave this queue's events with
-  // cross-shard deliveries while keeping Step()'s bookkeeping.
-
-  // Head event's time and id without popping; false when empty.
-  bool PeekNext(SimTime* time, EventQueue::EventId* id) const;
-
-  // Pops the head event, advances the clock to it and counts it as
-  // executed; the caller invokes the callback. Requires !empty().
-  EventQueue::Event PopForExecution();
-
-  // Advances the clock without executing anything (cross-shard deliveries
-  // fire at times between queue events). `to` must neither move backwards
-  // nor pass the head event.
-  void AdvanceClockTo(SimTime to);
+  // next event executed anyway.
+  bool CanContinueInline() const { return events_.NextTime() > now_; }
 
  private:
   EventQueue events_;
-  ScheduleObserver* observer_ = nullptr;
   SimTime now_ = 0;
   uint64_t events_executed_ = 0;
 };

@@ -1,10 +1,18 @@
 #include "trace/trace_recorder.h"
 
+#include <algorithm>
+
 #include "metrics/counters.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace wtpgsched {
+namespace {
+
+// Enable() reserves at most this many events: the default capacity.
+constexpr size_t kMaxReserve = size_t{1} << 20;
+
+}  // namespace
 
 const char* TraceEventTypeName(TraceEventType type) {
   switch (type) {
@@ -73,7 +81,7 @@ void TraceRecorder::Enable(size_t capacity) {
   WTPG_CHECK(events_.empty()) << "Enable() after events were recorded";
   enabled_ = true;
   capacity_ = capacity;
-  events_.reserve(capacity);
+  events_.reserve(std::min(capacity, kMaxReserve));
 }
 
 std::vector<TraceEvent> TraceRecorder::Snapshot() const {

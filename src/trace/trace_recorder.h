@@ -23,7 +23,9 @@ class TraceRecorder {
  public:
   TraceRecorder() = default;
 
-  // Reserves the ring. Call once, before the run.
+  // Sets the ring capacity. Call once, before the run. Reserves at most the
+  // default ring (1 << 20 events) up front; a larger ring grows as events
+  // arrive, so a huge capacity costs only the events actually recorded.
   void Enable(size_t capacity);
 
   bool enabled() const { return enabled_; }

@@ -19,9 +19,6 @@ void AddCommonToolFlags(FlagParser& flags) {
   flags.AddInt("jobs", 0,
                "replica worker threads (0 = WTPG_JOBS env or hardware "
                "concurrency); results are identical for any value");
-  flags.AddInt("shards", 0,
-               "sharded-clock PDES worker shards within each run (0 = serial "
-               "engine); results are byte-identical for any value");
   flags.AddBool("json", false, "print results as JSON");
   flags.AddString("log-level", "warning", "debug|info|warning|error");
   flags.AddBool("help", false, "print usage");

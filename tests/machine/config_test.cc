@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace wtpgsched {
 namespace {
 
@@ -72,6 +74,122 @@ TEST(ConfigTest, SchedulerKindNames) {
   EXPECT_STREQ(SchedulerKindName(SchedulerKind::kGow), "GOW");
   EXPECT_STREQ(SchedulerKindName(SchedulerKind::kLow), "LOW");
   EXPECT_STREQ(SchedulerKindName(SchedulerKind::kLowLb), "LOW-LB");
+}
+
+// A config differing from the defaults in every section survives
+// ToJson -> FromJson -> ToJson unchanged.
+TEST(ConfigJsonTest, NonDefaultConfigRoundTrips) {
+  SimConfig c;
+  c.machine.num_nodes = 16;
+  c.machine.num_files = 32;
+  c.machine.dd = 4;
+  c.machine.mpl = 8;
+  c.machine.quantum_objects = 0.5;
+  c.machine.batch_mpl = 2;
+  c.costs.obj_time_ms = 500.0;
+  c.costs.msg_time_ms = 1.5;
+  c.costs.sot_time_ms = 3.0;
+  c.costs.cot_time_ms = 6.0;
+  c.costs.dd_time_ms = 2.0;
+  c.costs.kwtpg_time_ms = 12.0;
+  c.costs.chain_time_ms = 25.0;
+  c.costs.top_time_ms = 4.0;
+  c.workload.arrival_rate_tps = 1.25;
+  c.workload.error_sigma = 0.5;
+  c.workload.max_arrivals = 1234;
+  c.workload.zipf_theta = 0.75;
+  c.run.horizon_ms = 600'000;
+  c.run.warmup_ms = 50'000;
+  c.run.retry_fallback_ms = 250.0;
+  c.run.admission_retry_limit = 8;
+  c.run.restart_delay_ms = 2500.0;
+  c.run.timeline_sample_ms = 5000.0;
+  c.run.telemetry_sample_ms = 10'000.0;
+  c.run.telemetry_capacity = 4096;
+  c.run.trace_enabled = true;
+  c.run.trace_capacity = 1'000'000'000'000'000;
+  c.run.tail_metrics = true;
+  c.run.tail_sketch = true;
+  c.run.seed = 987'654'321;
+  c.fault.dpn_mttf_ms = 120'000.0;
+  c.fault.dpn_mttr_ms = 15'000.0;
+  c.fault.straggler_mtbf_ms = 200'000.0;
+  c.fault.straggler_duration_ms = 20'000.0;
+  c.fault.straggler_factor = 3.0;
+  c.fault.abort_rate_per_s = 0.25;
+  c.fault.backoff_base_ms = 100.0;
+  c.fault.backoff_max_ms = 30'000.0;
+  c.fault.backoff_jitter = 0.5;
+  c.scheduler = SchedulerKind::kGow;
+  c.low_k = 3;
+  c.low_charge_per_eval = false;
+  c.low_lb_weight = 2.5;
+  c.opt_validate_writes = false;
+  ASSERT_TRUE(c.Validate().ok());
+  const std::string json = c.ToJson();
+  ASSERT_NE(json, SimConfig().ToJson());
+  StatusOr<SimConfig> parsed = SimConfig::FromJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->ToJson(), json);
+}
+
+// FromJson's error message for `json`; empty when it parses.
+std::string LoadError(const std::string& json) {
+  StatusOr<SimConfig> parsed = SimConfig::FromJson(json);
+  return parsed.ok() ? std::string() : parsed.status().message();
+}
+
+TEST(ConfigJsonTest, RejectsUnknownKeysNamingSectionAndKey) {
+  EXPECT_EQ(LoadError(R"({"machine":{"nodes":8}})"),
+            "config field machine.nodes: unknown key");
+  EXPECT_EQ(LoadError(R"({"costs":{"obj_ms":1}})"),
+            "config field costs.obj_ms: unknown key");
+  EXPECT_EQ(LoadError(R"({"workload":{"rate":1}})"),
+            "config field workload.rate: unknown key");
+  EXPECT_EQ(LoadError(R"({"run":{"horizon":1}})"),
+            "config field run.horizon: unknown key");
+  EXPECT_EQ(LoadError(R"({"fault":{"mttf_ms":1}})"),
+            "config field fault.mttf_ms: unknown key");
+  EXPECT_EQ(LoadError(R"({"low_kk":2})"), "config field low_kk: unknown key");
+}
+
+// The removed in-run parallel engine's key gets no alias.
+TEST(ConfigJsonTest, RejectsRemovedEngineKey) {
+  EXPECT_EQ(LoadError(R"({"run":{"shards":4}})"),
+            "config field run.shards: unknown key");
+}
+
+TEST(ConfigJsonTest, RejectsWrongTypes) {
+  EXPECT_EQ(LoadError(R"({"costs":{"obj_time_ms":"1000"}})"),
+            "config field costs.obj_time_ms: expected a number");
+  EXPECT_EQ(LoadError(R"({"run":{"trace_enabled":1}})"),
+            "config field run.trace_enabled: expected a boolean");
+  EXPECT_EQ(LoadError(R"({"machine":{"num_nodes":"8"}})"),
+            "config field machine.num_nodes: expected an integer in "
+            "[-2147483648, 2147483647]");
+}
+
+// Integer fields reject values their type cannot hold instead of casting
+// them (undefined behaviour: seed 1e20 used to load as 0).
+TEST(ConfigJsonTest, RejectsOutOfRangeIntegers) {
+  const std::string uint64_range =
+      "expected an integer in [0, 18446744073709551615]";
+  const std::string int_range =
+      "expected an integer in [-2147483648, 2147483647]";
+  EXPECT_EQ(LoadError(R"({"run":{"seed":1e20}})"),
+            "config field run.seed: " + uint64_range);
+  EXPECT_EQ(LoadError(R"({"workload":{"max_arrivals":1e20}})"),
+            "config field workload.max_arrivals: " + uint64_range);
+  EXPECT_EQ(LoadError(R"({"run":{"trace_capacity":-1}})"),
+            "config field run.trace_capacity: " + uint64_range);
+  EXPECT_EQ(LoadError(R"({"machine":{"num_nodes":3e9}})"),
+            "config field machine.num_nodes: " + int_range);
+  EXPECT_EQ(LoadError(R"({"low_k":-3e9})"), "config field low_k: " + int_range);
+  EXPECT_EQ(LoadError(R"({"machine":{"dd":1.5}})"),
+            "config field machine.dd: " + int_range);
+  // Large in-range values still load.
+  EXPECT_EQ(LoadError(R"({"run":{"trace_capacity":1e15}})"), "");
+  EXPECT_EQ(LoadError(R"({"run":{"admission_retry_limit":2147483647}})"), "");
 }
 
 }  // namespace

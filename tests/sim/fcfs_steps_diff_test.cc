@@ -26,24 +26,13 @@
 namespace wtpgsched {
 namespace {
 
-// Records every schedule call's due time (the sharded engine's hook).
-class ScheduleLogger : public Simulator::ScheduleObserver {
- public:
-  void OnSchedule(EventQueue::EventId /*id*/, SimTime at) override {
-    times.push_back(at);
-  }
-  void OnCancel(EventQueue::EventId /*id*/) override {}
-  std::vector<SimTime> times;
-};
-
 enum class Mode { kSingleJobs, kMultiStep };
 
 class Program {
  public:
   Program(uint64_t seed, Mode mode) : rng_(seed), mode_(mode) {}
 
-  void Run(Simulator::ScheduleObserver* observer) {
-    sim_.set_schedule_observer(observer);
+  void Run() {
     const int externals = static_cast<int>(rng_.UniformInt(1, 6));
     for (int i = 0; i < externals; ++i) {
       // Coarse times so several externals share an instant.
@@ -137,31 +126,15 @@ TEST(FcfsStepsDiffTest, MultiStepJobsMatchSingleJobs) {
   uint64_t multi_events = 0;
   for (uint64_t seed = 1; seed <= 300; ++seed) {
     Program single(seed, Mode::kSingleJobs);
-    single.Run(nullptr);
+    single.Run();
     Program multi(seed, Mode::kMultiStep);
-    multi.Run(nullptr);
+    multi.Run();
     ASSERT_EQ(single.log(), multi.log()) << "seed " << seed;
     single_events += single.events();
     multi_events += multi.events();
   }
   // The inline path must actually have been taken.
   EXPECT_LT(multi_events, single_events);
-}
-
-// With a schedule observer attached no step runs inline: the multi-step
-// job issues exactly the schedule calls of the single jobs.
-TEST(FcfsStepsDiffTest, ObserverSeesSingleJobSchedule) {
-  for (uint64_t seed = 1; seed <= 100; ++seed) {
-    ScheduleLogger single_calls;
-    Program single(seed, Mode::kSingleJobs);
-    single.Run(&single_calls);
-    ScheduleLogger multi_calls;
-    Program multi(seed, Mode::kMultiStep);
-    multi.Run(&multi_calls);
-    ASSERT_EQ(single.log(), multi.log()) << "seed " << seed;
-    ASSERT_EQ(single_calls.times, multi_calls.times) << "seed " << seed;
-    EXPECT_EQ(single.events(), multi.events()) << "seed " << seed;
-  }
 }
 
 TEST(FcfsStepsDiffTest, StepsCountInQueueAndCompletions) {

@@ -70,6 +70,20 @@ TEST(TraceRecorderTest, RingKeepsMostRecentAndCountsDropped) {
   EXPECT_EQ(events[3].time, 9);
 }
 
+// A capacity far beyond memory must not be reserved up front: the ring
+// grows only as events arrive.
+TEST(TraceRecorderTest, HugeCapacityGrowsAsEventsArrive) {
+  TraceRecorder rec;
+  const size_t huge = 1'000'000'000'000'000;
+  rec.Enable(huge);
+  EXPECT_EQ(rec.capacity(), huge);
+  for (SimTime t = 0; t < 5; ++t) rec.Record(At(t));
+  const std::vector<TraceEvent> events = rec.Snapshot();
+  ASSERT_EQ(events.size(), 5u);
+  for (SimTime t = 0; t < 5; ++t) EXPECT_EQ(events[t].time, t);
+  EXPECT_EQ(rec.dropped(), 0u);
+}
+
 TEST(TraceRecorderTest, TypeCountsCoverDroppedEvents) {
   TraceRecorder rec;
   rec.Enable(2);

@@ -20,7 +20,6 @@
 #include "trace/trace_export.h"
 #include "util/common_flags.h"
 #include "util/logging.h"
-#include "util/progress.h"
 #include "workload/pattern_parser.h"
 #include "wtpg/dot.h"
 
@@ -101,9 +100,6 @@ int main(int argc, char** argv) {
   if (use("sigma")) config.workload.error_sigma = flags.GetDouble("sigma");
   if (use("low-k")) config.low_k = static_cast<int>(flags.GetInt("low-k"));
   if (use("seed")) config.run.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  if (use("shards")) {
-    config.run.shards = static_cast<int>(flags.GetInt("shards"));
-  }
   if (use("max-arrivals")) {
     config.workload.max_arrivals =
         static_cast<uint64_t>(flags.GetInt("max-arrivals"));
@@ -125,6 +121,10 @@ int main(int argc, char** argv) {
   ApplyFaultFlags(flags, &config.fault);
   if (!flags.GetString("timeline-csv").empty()) {
     config.run.timeline_sample_ms = flags.GetDouble("timeline-ms");
+  }
+  if (flags.GetInt("trace-capacity") < 1) {
+    std::fprintf(stderr, "--trace-capacity must be >= 1\n");
+    return 2;
   }
   const std::string trace_jsonl = flags.GetString("trace-jsonl");
   const std::string trace_chrome = flags.GetString("trace-chrome");
@@ -227,22 +227,6 @@ int main(int argc, char** argv) {
   }
 
   const RunStats stats = machine.Run();
-
-  // With --progress and a sharded run, report the per-shard event balance
-  // (straggler visibility). Stderr only — stdout stays byte-identical to a
-  // serial run.
-  if (ProgressActive() && machine.sharded_engine() != nullptr) {
-    const std::vector<uint64_t> counts =
-        machine.sharded_engine()->shard_event_counts();
-    std::fprintf(stderr, "shard events:");
-    for (size_t i = 0; i < counts.size(); ++i) {
-      std::fprintf(stderr, " s%zu=%llu", i,
-                   static_cast<unsigned long long>(counts[i]));
-    }
-    std::fprintf(stderr, " (deep ties: %llu)\n",
-                 static_cast<unsigned long long>(
-                     machine.sharded_engine()->deep_ties()));
-  }
 
   // Sampled gauge series ride along inside the trace files as counter
   // tracks; legacy timeline-only runs (telemetry_sample_ms == 0) keep the

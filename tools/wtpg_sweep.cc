@@ -87,9 +87,6 @@ int main(int argc, char** argv) {
   if (use("sigma")) config.workload.error_sigma = flags.GetDouble("sigma");
   if (use("horizon-ms")) config.run.horizon_ms = flags.GetDouble("horizon-ms");
   if (use("seed")) config.run.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  if (use("shards")) {
-    config.run.shards = static_cast<int>(flags.GetInt("shards"));
-  }
   if (use("rate")) config.workload.arrival_rate_tps = flags.GetDouble("rate");
   ApplyFaultFlags(flags, &config.fault);
 
@@ -200,7 +197,6 @@ int main(int argc, char** argv) {
     BenchOptions opts;
     opts.seeds = seeds;
     opts.jobs = jobs;
-    opts.shards = config.run.shards;
     opts.horizon_ms = config.run.horizon_ms;
     opts.csv_dir.clear();
     static TablePrinter t({"scheduler", "mean RT(s)", "tput(tps)",
