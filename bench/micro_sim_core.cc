@@ -7,7 +7,9 @@
 // workloads (schedule+pop at the measured-realistic queue size, a deep-heap
 // variant, cancel-heavy, steady-state churn) run against
 // both implementations; then one short end-to-end replica per scheduler
-// reports whole-kernel events/sec. Results land in BENCH_sim_core.json and a
+// on the 16-file Experiment-1 pattern, and one LOW replica on the 1M-file
+// open-world mix, report whole-kernel events/sec and wall seconds (best of
+// the same repetitions). Results land in BENCH_sim_core.json and a
 // CSV for per-PR tracking; --smoke shrinks the iteration counts to seconds
 // for the perf-labeled ctest target (also run under ASan, where absolute
 // numbers are meaningless but the workloads double as a stress test).
@@ -35,6 +37,7 @@
 #include "util/random.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
+#include "workload/openworld.h"
 #include "workload/pattern.h"
 
 using namespace wtpgsched;
@@ -276,6 +279,7 @@ WorkloadResult Measure(const std::string& workload, const std::string& impl,
 }
 
 struct EndToEndResult {
+  std::string workload;
   std::string scheduler;
   uint64_t events = 0;
   double seconds = 0.0;
@@ -283,8 +287,8 @@ struct EndToEndResult {
   uint64_t completions = 0;
 };
 
-EndToEndResult RunEndToEnd(SchedulerKind kind, uint64_t max_arrivals,
-                           double horizon_ms) {
+SimConfig EndToEndConfig(SchedulerKind kind, uint64_t max_arrivals,
+                         double horizon_ms) {
   SimConfig config;
   config.scheduler = kind;
   config.run.horizon_ms = horizon_ms;
@@ -296,16 +300,30 @@ EndToEndResult RunEndToEnd(SchedulerKind kind, uint64_t max_arrivals,
   // horizon keeps every scheduler's workload comparable and finite.
   config.workload.arrival_rate_tps = 1.2;
   config.workload.max_arrivals = max_arrivals;
-  Machine machine(config, Pattern::Experiment1(config.machine.num_files));
-  const auto t0 = std::chrono::steady_clock::now();
-  const RunStats stats = machine.Run();
-  const auto t1 = std::chrono::steady_clock::now();
+  return config;
+}
+
+// One replica, best of `reps` (the Measure rule above).
+template <typename Workload>
+EndToEndResult RunEndToEnd(const std::string& workload_name,
+                           const SimConfig& config, const Workload& workload,
+                           int reps) {
   EndToEndResult r;
-  r.scheduler = SchedulerKindName(kind);
-  r.events = machine.simulator().events_executed();
-  r.seconds = Seconds(t0, t1);
-  r.events_per_s = r.seconds > 0.0 ? r.events / r.seconds : 0.0;
-  r.completions = stats.completions;
+  r.workload = workload_name;
+  r.scheduler = SchedulerKindName(config.scheduler);
+  for (int rep = 0; rep < reps; ++rep) {
+    Machine machine(config, workload);
+    const auto t0 = std::chrono::steady_clock::now();
+    const RunStats stats = machine.Run();
+    const auto t1 = std::chrono::steady_clock::now();
+    const double seconds = Seconds(t0, t1);
+    if (rep == 0 || seconds < r.seconds) {
+      r.events = machine.simulator().events_executed();
+      r.seconds = seconds;
+      r.events_per_s = seconds > 0.0 ? r.events / seconds : 0.0;
+      r.completions = stats.completions;
+    }
+  }
   return r;
 }
 
@@ -413,22 +431,42 @@ int main(int argc, char** argv) {
   constexpr SchedulerKind kKinds[] = {SchedulerKind::kTwoPl,
                                       SchedulerKind::kC2pl,
                                       SchedulerKind::kGow, SchedulerKind::kLow};
-  TablePrinter e2e_table({"scheduler", "events", "wall(s)", "events/s"});
-  std::string e2e_json;
+  std::vector<EndToEndResult> e2e_rows;
   for (SchedulerKind kind : kKinds) {
-    const EndToEndResult r = RunEndToEnd(kind, max_arrivals, horizon_ms);
-    e2e_table.AddRow({r.scheduler, StrCat(r.events),
+    const SimConfig config = EndToEndConfig(kind, max_arrivals, horizon_ms);
+    e2e_rows.push_back(RunEndToEnd(
+        "exp1", config, Pattern::Experiment1(config.machine.num_files), reps));
+  }
+  // The same cap on the open-world mix: a Zipf universe of 1M files, of
+  // which the run touches a small fraction. Tracks what per-file state
+  // costs when it is sized by the universe rather than by the files
+  // touched.
+  {
+    const OpenWorldSpec spec;
+    SimConfig config =
+        EndToEndConfig(SchedulerKind::kLow, max_arrivals, horizon_ms);
+    config.machine.num_files = spec.num_files;
+    config.workload.zipf_theta = spec.zipf_theta;
+    e2e_rows.push_back(
+        RunEndToEnd("openworld_1m", config, MakeOpenWorldMix(spec), reps));
+  }
+  TablePrinter e2e_table(
+      {"workload", "scheduler", "events", "wall(s)", "events/s"});
+  std::string e2e_json;
+  for (const EndToEndResult& r : e2e_rows) {
+    e2e_table.AddRow({r.workload, r.scheduler, StrCat(r.events),
                       FormatDouble(r.seconds, 3),
                       FormatDouble(r.events_per_s, 0)});
     JsonWriter row;
-    row.Add("scheduler", r.scheduler)
+    row.Add("workload", r.workload)
+        .Add("scheduler", r.scheduler)
         .Add("events", r.events)
         .Add("seconds", r.seconds)
         .Add("events_per_s", r.events_per_s)
         .Add("completions", r.completions);
     if (!e2e_json.empty()) e2e_json += ',';
     e2e_json += row.ToString();
-    csv.WriteRow({"end_to_end", "replica", r.scheduler, StrCat(r.events),
+    csv.WriteRow({"end_to_end", r.workload, r.scheduler, StrCat(r.events),
                   FormatDouble(r.seconds, 4),
                   FormatDouble(r.events_per_s / 1e6, 3), ""});
   }

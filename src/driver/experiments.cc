@@ -2,41 +2,49 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 
+#include "sim/time.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace wtpgsched {
 namespace {
 
-// Env lookups with strict parsing: a malformed value is reported and the
-// fallback kept (atof/atoi would silently turn "1e" or "fast" into 0 and
-// quietly wreck a sweep).
-double EnvDouble(const char* name, double fallback) {
+// Shared body of EnvInt and EnvDouble. `Parsed` is what the strict parser
+// yields (int64_t for ints, so an out-of-range value is caught before the
+// narrowing cast instead of wrapping).
+template <typename T, typename Parsed>
+T EnvNumber(const char* name, T fallback, T lo, T hi,
+            bool (*parse)(const std::string&, Parsed*), const char* kind) {
   const char* value = std::getenv(name);
   if (value == nullptr || value[0] == '\0') return fallback;
-  double parsed = 0.0;
-  if (!ParseDouble(value, &parsed)) {
-    WTPG_LOG(Warning) << name << "='" << value
-                      << "' is not a number; using default " << fallback;
+  Parsed parsed{};
+  if (!parse(value, &parsed)) {
+    WTPG_LOG(Warning) << name << "='" << value << "' is not " << kind
+                      << "; using default " << fallback;
     return fallback;
   }
-  return parsed;
-}
-
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  int64_t parsed = 0;
-  if (!ParseInt64(value, &parsed)) {
+  // Negated so that NaN is out of range too.
+  if (!(parsed >= lo && parsed <= hi)) {
     WTPG_LOG(Warning) << name << "='" << value
-                      << "' is not an integer; using default " << fallback;
+                      << "' is out of range; using default " << fallback;
     return fallback;
   }
-  return static_cast<int>(parsed);
+  return static_cast<T>(parsed);
 }
 
 }  // namespace
+
+int EnvInt(const char* name, int fallback, int lo, int hi) {
+  return EnvNumber<int, int64_t>(name, fallback, lo, hi, &ParseInt64,
+                                 "an integer");
+}
+
+double EnvDouble(const char* name, double fallback, double lo, double hi) {
+  return EnvNumber<double, double>(name, fallback, lo, hi, &ParseDouble,
+                                   "a number");
+}
 
 std::vector<SchedulerKind> PaperSchedulers() {
   return {SchedulerKind::kNodc, SchedulerKind::kAsl, SchedulerKind::kGow,
@@ -67,11 +75,16 @@ BenchOptions GetBenchOptions() {
     options.rt_tol_s = 5.0;
     options.horizon_ms = 500'000;
   }
-  options.seeds = EnvInt("WTPG_SEEDS", options.seeds);
-  options.rt_iters = EnvInt("WTPG_RT_ITERS", options.rt_iters);
-  options.rt_tol_s = EnvDouble("WTPG_RT_TOL", options.rt_tol_s);
-  options.horizon_ms = EnvDouble("WTPG_HORIZON_MS", options.horizon_ms);
-  options.jobs = EnvInt("WTPG_JOBS", options.jobs);
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  constexpr double kDoubleMax = std::numeric_limits<double>::max();
+  options.seeds = EnvInt("WTPG_SEEDS", options.seeds, 1, kIntMax);
+  options.rt_iters = EnvInt("WTPG_RT_ITERS", options.rt_iters, 0, kIntMax);
+  options.rt_tol_s =
+      EnvDouble("WTPG_RT_TOL", options.rt_tol_s, 0.0, kDoubleMax);
+  // The horizon must convert to a positive SimTime without overflow.
+  options.horizon_ms = EnvDouble("WTPG_HORIZON_MS", options.horizon_ms,
+                                 TimeToMs(1), TimeToMs(kSimTimeMax) / 2);
+  options.jobs = EnvInt("WTPG_JOBS", options.jobs, 0, kIntMax);
   const char* dir = std::getenv("WTPG_CSV_DIR");
   if (dir != nullptr) options.csv_dir = dir;
   return options;

@@ -29,16 +29,22 @@ std::string SchedulerLabel(SchedulerKind kind);
 SimConfig MakeConfig(SchedulerKind kind, int num_files, int dd,
                      double arrival_rate_tps, double error_sigma = 0.0);
 
-// Effort knobs, overridable via environment variables:
-//   WTPG_SEEDS     seeds per data point          (default 1, as the paper)
-//   WTPG_RT_ITERS  bisection iterations          (default 9)
-//   WTPG_RT_TOL    bisection tolerance, seconds  (default 2.5)
-//   WTPG_HORIZON_MS simulation horizon           (default 2,000,000)
+// Reads a numeric environment knob. Unset or empty gives `fallback`; a
+// value that does not parse, or lies outside the inclusive range [lo, hi],
+// is reported (warning log) and `fallback` kept, instead of an atoi-style
+// silent zero, a narrowing wrap, or an abort in the value's consumer.
+int EnvInt(const char* name, int fallback, int lo, int hi);
+double EnvDouble(const char* name, double fallback, double lo, double hi);
+
+// Effort knobs, overridable via environment variables (read by EnvInt /
+// EnvDouble with the ranges shown):
+//   WTPG_SEEDS     seeds per data point, >= 1    (default 1, as the paper)
+//   WTPG_RT_ITERS  bisection iterations, >= 0    (default 9)
+//   WTPG_RT_TOL    bisection tolerance, s, >= 0  (default 2.5)
+//   WTPG_HORIZON_MS simulation horizon, > 0      (default 2,000,000)
 //   WTPG_CSV_DIR   CSV output directory          (default "results")
-//   WTPG_JOBS      replica worker threads        (default: hardware)
+//   WTPG_JOBS      replica worker threads, >= 0  (default: hardware)
 //   WTPG_FAST=1    quick mode: 1 seed, 6 iters, 500k ms horizon
-// Malformed numeric values are reported (warning log) and the default kept,
-// instead of atoi-style silent zeroes.
 struct BenchOptions {
   int seeds = 1;  // The paper reports single runs; raise via WTPG_SEEDS.
   int rt_iters = 9;

@@ -5,29 +5,6 @@
 #include "util/logging.h"
 
 namespace wtpgsched {
-namespace {
-
-const std::vector<LockTable::Holder>& EmptyHolders() {
-  static const std::vector<LockTable::Holder> empty;
-  return empty;
-}
-
-}  // namespace
-
-const std::vector<LockTable::Holder>& LockTable::HoldersOf(
-    FileId file) const {
-  const size_t idx = static_cast<size_t>(file);
-  if (file < 0 || idx >= holders_.size()) return EmptyHolders();
-  return holders_[idx];
-}
-
-bool LockTable::CanGrant(FileId file, TxnId txn, LockMode mode) const {
-  for (const Holder& h : HoldersOf(file)) {
-    if (h.txn == txn) continue;
-    if (!Compatible(h.mode, mode)) return false;
-  }
-  return true;
-}
 
 void LockTable::Grant(FileId file, TxnId txn, LockMode mode) {
   WTPG_CHECK(CanGrant(file, txn, mode))
@@ -44,13 +21,12 @@ void LockTable::ForceGrant(FileId file, TxnId txn, LockMode mode) {
                     .file = file,
                     .mode = mode});
   }
-  if (static_cast<size_t>(file) >= holders_.size()) {
-    holders_.resize(static_cast<size_t>(file) + 1);
-  }
+  const size_t slot = static_cast<size_t>(slots_.FindOrInsert(file));
+  if (slot == holders_.size()) holders_.emplace_back();
   // Unconditionally, mirroring the historical operator[] insert — the shadow
   // must see the same key sequence the old keyed storage saw.
   released_order_.try_emplace(file);
-  auto& holders = holders_[static_cast<size_t>(file)];
+  auto& holders = holders_[slot];
   for (Holder& h : holders) {
     if (h.txn == txn) {
       h.mode = Stronger(h.mode, mode);
@@ -64,7 +40,7 @@ std::vector<FileId> LockTable::ReleaseAll(TxnId txn) {
   std::vector<FileId> released;
   for (auto it = released_order_.begin(); it != released_order_.end();) {
     const FileId file = it->first;
-    auto& holders = holders_[static_cast<size_t>(file)];
+    auto& holders = holders_[static_cast<size_t>(slots_.Find(file))];
     const size_t before = holders.size();
     holders.erase(std::remove_if(holders.begin(), holders.end(),
                                  [txn](const Holder& h) { return h.txn == txn; }),

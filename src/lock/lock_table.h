@@ -9,6 +9,7 @@
 #include "model/lock_mode.h"
 #include "model/types.h"
 #include "trace/trace_recorder.h"
+#include "util/file_index.h"
 
 namespace wtpgsched {
 
@@ -19,9 +20,9 @@ namespace wtpgsched {
 // ForceGrant() records a lock regardless of compatibility — NODC uses it to
 // model "grant any lock at any time" while release bookkeeping still works.
 //
-// FileIds are dense (0..num_files), so holder lists live in a flat vector
-// indexed by file — every query is an array index plus a scan of a tiny
-// holder list, no hashing. A hashed shadow of the locked-file set is kept
+// Holder lists live in a pool indexed by a FileIndex slot, taken on a
+// file's first grant, so the table grows with the files a run locks, not
+// with the FileId universe. A hashed shadow of the locked-file set is kept
 // solely to preserve ReleaseAll's historical iteration order (see
 // released_order_ below); queries never touch it.
 class LockTable {
@@ -37,7 +38,12 @@ class LockTable {
   // current holder's mode must be compatible. A transaction's own held lock
   // never conflicts with its upgrade request (upgrade succeeds if no other
   // holder conflicts with the requested mode).
-  bool CanGrant(FileId file, TxnId txn, LockMode mode) const;
+  bool CanGrant(FileId file, TxnId txn, LockMode mode) const {
+    for (const Holder& h : HoldersOf(file)) {
+      if (h.txn != txn && !Compatible(h.mode, mode)) return false;
+    }
+    return true;
+  }
 
   // Records the grant (or upgrade). Requires CanGrant().
   void Grant(FileId file, TxnId txn, LockMode mode);
@@ -56,7 +62,11 @@ class LockTable {
   // Current holders of `file` (empty if unlocked). The reference stays
   // valid only until the next mutation; the copying and out-parameter
   // variants are for callers that mutate while consuming.
-  const std::vector<Holder>& HoldersOf(FileId file) const;
+  const std::vector<Holder>& HoldersOf(FileId file) const {
+    const int32_t slot = slots_.Find(file);
+    return slot == FileIndex::kAbsent ? kNoHolders
+                                      : holders_[static_cast<size_t>(slot)];
+  }
   std::vector<Holder> GetHolders(FileId file) const;
   void GetHolders(FileId file, std::vector<Holder>* out) const;
 
@@ -79,8 +89,10 @@ class LockTable {
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
  private:
+  static inline const std::vector<Holder> kNoHolders;
   // Holder lists are tiny (bounded by active transactions); linear scans.
-  // Indexed by FileId; grown on demand. Emptied slots keep their capacity.
+  // Indexed by slots_.Find(file). Emptied lists keep slot and capacity.
+  FileIndex slots_;
   std::vector<std::vector<Holder>> holders_;
   // Order shadow: the set of currently locked files, fed the exact insert /
   // erase sequence the pre-dense unordered_map keyed storage received, so

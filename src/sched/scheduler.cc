@@ -103,6 +103,8 @@ std::vector<FileId> Scheduler::OnAbort(Transaction& txn) {
   return released;
 }
 
+const WtpgSchedulerBase::PendingList WtpgSchedulerBase::kNoPending;
+
 void WtpgSchedulerBase::AddToGraph(Transaction& txn) {
   graph_.AddNode(txn.id(), txn.DeclaredRemainingCost());
   // A sparse-precedence graph (C2PL) materializes edges on demand at
@@ -133,10 +135,10 @@ void WtpgSchedulerBase::AddToGraph(Transaction& txn) {
           << "pre-orientation of holder T" << holder << " -> new T"
           << txn.id() << " cannot cycle";
     }
-    if (static_cast<size_t>(file) >= pending_by_file_.size()) {
-      pending_by_file_.resize(static_cast<size_t>(file) + 1);
-    }
-    auto& pending = pending_by_file_[static_cast<size_t>(file)];
+    const size_t slot =
+        static_cast<size_t>(pending_slots_.FindOrInsert(file));
+    if (slot == pending_by_file_.size()) pending_by_file_.emplace_back();
+    auto& pending = pending_by_file_[slot];
     const auto pos = std::lower_bound(
         pending.items.begin(), pending.items.end(), txn.id(),
         [](const PendingAccess& a, TxnId id) { return a.txn < id; });
@@ -220,8 +222,9 @@ void WtpgSchedulerBase::CompensateSparseRemoval(Transaction& txn) {
 }
 
 void WtpgSchedulerBase::RemovePending(FileId file, TxnId txn) {
-  if (static_cast<size_t>(file) >= pending_by_file_.size()) return;
-  auto& pending = pending_by_file_[static_cast<size_t>(file)];
+  const int32_t slot = pending_slots_.Find(file);
+  if (slot == FileIndex::kAbsent) return;
+  auto& pending = pending_by_file_[static_cast<size_t>(slot)];
   const auto pos = std::lower_bound(
       pending.items.begin(), pending.items.end(), txn,
       [](const PendingAccess& a, TxnId id) { return a.txn < id; });
@@ -229,19 +232,6 @@ void WtpgSchedulerBase::RemovePending(FileId file, TxnId txn) {
     if (pos->mode == LockMode::kExclusive) --pending.x_count;
     pending.items.erase(pos);
   }
-}
-
-const WtpgSchedulerBase::PendingList& WtpgSchedulerBase::PendingListOf(
-    FileId file) const {
-  static const PendingList empty;
-  const size_t idx = static_cast<size_t>(file);
-  if (file < 0 || idx >= pending_by_file_.size()) return empty;
-  return pending_by_file_[idx];
-}
-
-const std::vector<WtpgSchedulerBase::PendingAccess>&
-WtpgSchedulerBase::PendingAccessors(FileId file) const {
-  return PendingListOf(file).items;
 }
 
 std::vector<TxnId> WtpgSchedulerBase::PendingConflicters(

@@ -12,6 +12,7 @@
 #include "sim/time.h"
 #include "telemetry/gauge_registry.h"
 #include "trace/trace_recorder.h"
+#include "util/file_index.h"
 #include "wtpg/wtpg.h"
 
 namespace wtpgsched {
@@ -267,9 +268,17 @@ class WtpgSchedulerBase : public Scheduler {
 
   // Pending accessors of `file`, ascending TxnId. Maintained incrementally
   // (insert at admission, erase at grant / commit / abort) so admission and
-  // lock decisions need no rescan of the active set.
-  const std::vector<PendingAccess>& PendingAccessors(FileId file) const;
-  const PendingList& PendingListOf(FileId file) const;
+  // lock decisions need no rescan of the active set. References stay valid
+  // only until the next such mutation.
+  const std::vector<PendingAccess>& PendingAccessors(FileId file) const {
+    return PendingListOf(file).items;
+  }
+  const PendingList& PendingListOf(FileId file) const {
+    const int32_t slot = pending_slots_.Find(file);
+    return slot == FileIndex::kAbsent
+               ? kNoPending
+               : pending_by_file_[static_cast<size_t>(slot)];
+  }
 
   // Active transactions (other than `requester`) that have a *pending*
   // (declared but not yet granted) access to `file` conflicting with
@@ -317,10 +326,13 @@ class WtpgSchedulerBase : public Scheduler {
   // commit and only does pair work on abort removals.
   void CompensateSparseRemoval(Transaction& txn);
 
-  // Indexed by FileId (dense, grown on demand); each list sorted by TxnId
-  // so index-driven queries see the same ascending order the historical
+  // Indexed by pending_slots_.Find(file), a slot taken when an admitted
+  // transaction first declares the file; each list sorted by TxnId so
+  // index-driven queries see the same ascending order the historical
   // active_-map scan produced.
+  FileIndex pending_slots_;
   std::vector<PendingList> pending_by_file_;
+  static const PendingList kNoPending;
   std::vector<TxnId> holders_scratch_;   // AddToGraph pre-orientation scan.
   std::vector<TxnId> targets_scratch_;   // OrientAfterGrant batch.
   std::vector<TxnId> anc_scratch_;       // CompensateSparseRemoval sets.

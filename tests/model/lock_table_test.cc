@@ -120,6 +120,47 @@ TEST(LockTableTest, RegrantSameModeIdempotent) {
   EXPECT_EQ(table.GetHolders(0).size(), 1u);
 }
 
+// Files are looked up through a FileId -> slot index, so a sparse id near
+// the top of the FileId range costs one slot, like file 0 does.
+TEST(LockTableTest, SparseFileIdsShareNothing) {
+  constexpr FileId kHigh = 1'999'999'999;
+  LockTable table;
+  EXPECT_TRUE(table.HoldersOf(kHigh).empty());
+  table.Grant(kHigh, 1, kS);
+  table.Grant(7, 1, kX);
+  table.Grant(0, 2, kS);
+  table.Grant(kHigh, 2, kS);
+  EXPECT_FALSE(table.CanGrant(kHigh, 3, kX));
+  EXPECT_TRUE(table.CanGrant(kHigh, 3, kS));
+  EXPECT_FALSE(table.CanGrant(7, 2, kS));
+  EXPECT_TRUE(table.CanGrant(0, 1, kS));
+  EXPECT_TRUE(table.HoldersOf(1).empty());
+  EXPECT_TRUE(table.HoldersOf(kInvalidFile).empty());
+  EXPECT_EQ(table.HoldersOf(kHigh).size(), 2u);
+  EXPECT_EQ(table.num_locked_files(), 3u);
+  EXPECT_EQ(table.NumHeldBy(1), 2u);
+  EXPECT_EQ(table.NumHeldBy(2), 2u);
+
+  // Upgrade on the high file once the other sharer is gone.
+  std::vector<FileId> released = table.ReleaseAll(2);
+  std::sort(released.begin(), released.end());
+  EXPECT_EQ(released, (std::vector<FileId>{0, kHigh}));
+  EXPECT_TRUE(table.CanGrant(kHigh, 1, kX));
+  table.Grant(kHigh, 1, kX);
+  EXPECT_TRUE(table.HoldsSufficient(kHigh, 1, kX));
+  EXPECT_EQ(table.HoldersOf(kHigh).size(), 1u);
+  EXPECT_TRUE(table.HoldersOf(0).empty());
+  EXPECT_EQ(table.num_locked_files(), 2u);
+
+  released = table.ReleaseAll(1);
+  std::sort(released.begin(), released.end());
+  EXPECT_EQ(released, (std::vector<FileId>{7, kHigh}));
+  EXPECT_EQ(table.num_locked_files(), 0u);
+  EXPECT_EQ(table.NumHeldBy(1), 0u);
+  EXPECT_TRUE(table.CanGrant(kHigh, 4, kX));
+  EXPECT_TRUE(table.CanGrant(7, 4, kX));
+}
+
 TEST(LockTableDeathTest, IncompatibleGrantDies) {
   LockTable table;
   table.Grant(0, 1, kX);

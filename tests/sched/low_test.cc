@@ -67,6 +67,27 @@ TEST(LowTest, AdmissionCountsOnlyPendingDeclarations) {
   EXPECT_EQ(sched.OnStartup(t4).kind, DecisionKind::kGrant);
 }
 
+// The pending index is keyed through a FileId -> slot map: admission reads
+// the pending lists of sparse, high file ids like those of file 0.
+TEST(LowTest, AdmissionWithinKReadsHighFileIds) {
+  constexpr FileId kHigh = 1'999'999'999;
+  LowScheduler sched = MakeLow(1);
+  Transaction t1 = MakeXTxn(1, {kHigh, 7});
+  Transaction t2 = MakeXTxn(2, {kHigh - 1024});
+  Transaction t3 = MakeXTxn(3, {kHigh});
+  Transaction t4 = MakeXTxn(4, {kHigh});
+  ASSERT_EQ(sched.OnStartup(t1).kind, DecisionKind::kGrant);
+  ASSERT_EQ(sched.OnStartup(t2).kind, DecisionKind::kGrant);
+  // One X competitor on kHigh is within K = 1...
+  EXPECT_EQ(sched.OnStartup(t3).kind, DecisionKind::kGrant);
+  // ...a second is not.
+  EXPECT_EQ(sched.OnStartup(t4).kind, DecisionKind::kDelay);
+  EXPECT_EQ(sched.admission_k_rejections(), 1u);
+  // Once t1 holds kHigh its declaration is no longer pending there.
+  ASSERT_EQ(sched.OnLockRequest(t1, 0).kind, DecisionKind::kGrant);
+  EXPECT_EQ(sched.OnStartup(t4).kind, DecisionKind::kGrant);
+}
+
 TEST(LowTest, SharedDeclarationsDoNotCountAgainstK) {
   LowScheduler sched = MakeLow(0);  // Strictest: no conflicters allowed.
   Transaction t1 = MakeSTxn(1, {0});
