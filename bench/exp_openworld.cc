@@ -28,7 +28,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -154,8 +153,7 @@ int main() {
   // universe, and the metrics path is O(1) per stream regardless of
   // completions — so a multi-million-file, long-horizon point costs about
   // what a small universe does.
-  const char* big = std::getenv("WTPG_OPENWORLD_BIG");
-  if (big != nullptr && big[0] == '1') {
+  if (EnvInt("WTPG_OPENWORLD_BIG", 0, 0, 1) == 1) {
     OpenWorldSpec big_spec = spec;
     big_spec.num_files = 10'000'000;
     BenchOptions big_opts = opts;

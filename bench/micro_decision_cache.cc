@@ -4,14 +4,13 @@
 // Three sections:
 //   1. lookup: nanoseconds per operation for a decision-cache hit
 //      (EvalCache / CycleCache fingerprint lookups) against the graph work
-//      a hit replaces — a reference-mode WouldCycle reverse BFS and a full
-//      EvaluateGrant speculation (orient + critical path + rollback).
+//      a hit replaces — a WouldCycle reverse BFS (rotating requesters
+//      defeat the per-slot probe cache) and a full EvaluateGrant
+//      speculation (orient + critical path + rollback).
 //   2. hit_rate: one contended end-to-end replica per WTPG scheduler,
 //      reporting cache hits/misses, uncached graph evaluations, and the
 //      machine-side retry/shortcut counters the caches feed off.
-//   3. end_to_end: events/sec per scheduler with the caches on versus
-//      WTPG_REFERENCE_DECISIONS=1 (every fast path switched back to the
-//      historical implementation), best-of-reps on both sides.
+//   3. end_to_end: events/sec per scheduler, best-of-reps.
 //
 // Results land in BENCH_decision_cache.json and a CSV for per-PR tracking;
 // --smoke shrinks iteration counts for the perf-labeled ctest target. The
@@ -22,7 +21,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -103,8 +101,8 @@ LookupResult MeasureLookup(const std::string& name, int reps, Fn&& fn) {
 // probe/grant target legal from any rotating requester.
 constexpr TxnId kChainLen = 64;
 
-Wtpg BuildChain(bool reference_decisions) {
-  Wtpg g(/*reference_speculation=*/false, reference_decisions);
+Wtpg BuildChain() {
+  Wtpg g;
   for (TxnId i = 1; i <= kChainLen + 1; ++i) g.AddNode(i, 1.0);
   for (TxnId i = 1; i < kChainLen; ++i) {
     g.AddConflictEdge(i, i + 1, 1.0, 1.0);
@@ -133,12 +131,8 @@ struct EndToEndResult {
 
 // One replica at the contended Fig.-8 operating point (see
 // micro_sim_core.cc for why the arrival cap, not the horizon, bounds the
-// work). `reference` flips WTPG_REFERENCE_DECISIONS for the machine's
-// whole lifetime — the env is re-read per Wtpg construction.
-EndToEndResult RunEndToEnd(SchedulerKind kind, bool reference,
-                           uint64_t max_arrivals) {
-  ::setenv("WTPG_REFERENCE_DECISIONS", reference ? "1" : "0",
-           /*overwrite=*/1);
+// work).
+EndToEndResult RunEndToEnd(SchedulerKind kind, uint64_t max_arrivals) {
   SimConfig config;
   config.scheduler = kind;
   config.run.horizon_ms = 100'000'000;
@@ -148,7 +142,6 @@ EndToEndResult RunEndToEnd(SchedulerKind kind, bool reference,
   const auto t0 = std::chrono::steady_clock::now();
   const RunStats stats = machine.Run();
   const auto t1 = std::chrono::steady_clock::now();
-  ::unsetenv("WTPG_REFERENCE_DECISIONS");
   EndToEndResult r;
   r.scheduler = SchedulerKindName(kind);
   r.events = machine.simulator().events_executed();
@@ -166,11 +159,10 @@ EndToEndResult RunEndToEnd(SchedulerKind kind, bool reference,
   return r;
 }
 
-EndToEndResult BestOf(SchedulerKind kind, bool reference,
-                      uint64_t max_arrivals, int reps) {
+EndToEndResult BestOf(SchedulerKind kind, uint64_t max_arrivals, int reps) {
   EndToEndResult best;
   for (int rep = 0; rep < reps; ++rep) {
-    EndToEndResult r = RunEndToEnd(kind, reference, max_arrivals);
+    EndToEndResult r = RunEndToEnd(kind, max_arrivals);
     if (rep == 0 || r.events_per_s > best.events_per_s) best = r;
   }
   return best;
@@ -256,8 +248,8 @@ int main(int argc, char** argv) {
     return found;
   }));
 
-  lookups.push_back(MeasureLookup("wouldcycle_reference", reps, [&] {
-    Wtpg g = BuildChain(/*reference_decisions=*/true);
+  lookups.push_back(MeasureLookup("wouldcycle", reps, [&] {
+    Wtpg g = BuildChain();
     uint64_t falses = 0;
     for (int i = 0; i < graph_iters; ++i) {
       const TxnId from = static_cast<TxnId>(i % kChainLen) + 1;
@@ -268,7 +260,7 @@ int main(int argc, char** argv) {
   }));
 
   lookups.push_back(MeasureLookup("evaluate_grant", reps, [&] {
-    Wtpg g = BuildChain(/*reference_decisions=*/false);
+    Wtpg g = BuildChain();
     uint64_t evals = 0;
     for (int i = 0; i < graph_iters; ++i) {
       const TxnId from = static_cast<TxnId>(i % kChainLen) + 1;
@@ -298,27 +290,17 @@ int main(int argc, char** argv) {
   constexpr SchedulerKind kKinds[] = {SchedulerKind::kTwoPl,
                                       SchedulerKind::kC2pl,
                                       SchedulerKind::kGow, SchedulerKind::kLow};
-  TablePrinter e2e_table({"scheduler", "cached ev/s", "reference ev/s",
-                          "speedup", "hit rate", "evals", "retries"});
+  TablePrinter e2e_table(
+      {"scheduler", "events/s", "hit rate", "evals", "retries"});
   std::string hit_json;
   std::string e2e_json;
   double c2pl_cached_events_per_s = 0.0;
   for (SchedulerKind kind : kKinds) {
-    const EndToEndResult cached =
-        BestOf(kind, /*reference=*/false, max_arrivals, reps);
-    const EndToEndResult reference =
-        BestOf(kind, /*reference=*/true, max_arrivals, reps);
-    WTPG_CHECK_EQ(cached.completions, reference.completions)
-        << cached.scheduler << ": reference mode changed the simulation";
+    const EndToEndResult cached = BestOf(kind, max_arrivals, reps);
     if (kind == SchedulerKind::kC2pl) {
       c2pl_cached_events_per_s = cached.events_per_s;
     }
-    const double speedup = reference.events_per_s > 0.0
-                               ? cached.events_per_s / reference.events_per_s
-                               : 0.0;
     e2e_table.AddRow({cached.scheduler, FormatDouble(cached.events_per_s, 0),
-                      FormatDouble(reference.events_per_s, 0),
-                      FormatDouble(speedup, 2),
                       FormatDouble(HitRate(cached), 3),
                       StrCat(cached.wtpg_evals),
                       StrCat(cached.decision_retries)});
@@ -339,15 +321,12 @@ int main(int argc, char** argv) {
     e2e_row.Add("scheduler", cached.scheduler)
         .Add("events", cached.events)
         .Add("cached_events_per_s", cached.events_per_s)
-        .Add("reference_events_per_s", reference.events_per_s)
-        .Add("speedup_vs_reference", speedup)
         .Add("completions", cached.completions);
     if (!e2e_json.empty()) e2e_json += ',';
     e2e_json += e2e_row.ToString();
     csv.WriteRow({"end_to_end", cached.scheduler, StrCat(cached.events),
                   FormatDouble(cached.seconds, 4),
-                  FormatDouble(cached.events_per_s, 0),
-                  FormatDouble(speedup, 3)});
+                  FormatDouble(cached.events_per_s, 0), ""});
   }
   e2e_table.Print();
 

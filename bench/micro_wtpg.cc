@@ -3,6 +3,8 @@
 // and the GOW chain DP. These are the operations whose CPU prices Table 1
 // charges at the control node.
 
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "util/random.h"
@@ -16,10 +18,9 @@ namespace {
 // the edges oriented. Orienting in ascending id order keeps the graph
 // acyclic, so the clone-free OrientNoRollback always succeeds — setup for
 // the 512-node case must not pay speculative machinery.
-// `reference` selects the copy-based speculation implementation.
-Wtpg RandomGraph(int n, double p, uint64_t seed, bool reference = false) {
+Wtpg RandomGraph(int n, double p, uint64_t seed) {
   Rng rng(seed);
-  Wtpg g(reference);
+  Wtpg g;
   for (int i = 1; i <= n; ++i) g.AddNode(i, rng.UniformReal(0.0, 8.0));
   std::vector<std::pair<TxnId, TxnId>> to_orient;
   for (int a = 1; a <= n; ++a) {
@@ -69,14 +70,22 @@ void BM_CriticalPath(benchmark::State& state) {
 }
 BENCHMARK(BM_CriticalPath)->Arg(8)->Arg(32)->Arg(128);
 
-// E(q) with the production undo-journal speculation vs the reference
-// copy-per-evaluation implementation (WTPG_REFERENCE_SPECULATION). This is
-// the LOW/GOW decision hot path: the acceptance bar for the journal rewrite
-// is >= 5x fewer ns per evaluation at N = 128 (see
-// results/micro_wtpg_speculation.csv).
-void RunEvaluateGrant(benchmark::State& state, bool reference) {
+// The copy-per-evaluation speculation the undo journal replaced: clone the
+// graph, orient on the clone, read its critical path, discard the clone.
+double EvaluateGrantByCopy(const Wtpg& g, TxnId grantee,
+                           const std::vector<TxnId>& targets) {
+  Wtpg copy = g;
+  if (!copy.OrientBatchNoRollback(grantee, targets)) return kInfiniteCost;
+  return copy.CriticalPath();
+}
+
+// E(q) with the production undo-journal speculation vs the
+// copy-per-evaluation baseline. This is the LOW/GOW decision hot path: the
+// acceptance bar for the journal rewrite is >= 5x fewer ns per evaluation
+// at N = 128 (see results/micro_wtpg_speculation.csv).
+void RunEvaluateGrant(benchmark::State& state, bool copy) {
   const int n = static_cast<int>(state.range(0));
-  Wtpg g = RandomGraph(n, 0.2, 3, reference);
+  Wtpg g = RandomGraph(n, 0.2, 3);
   // Pick a node with unoriented edges as the grantee.
   TxnId grantee = 1;
   std::vector<TxnId> targets;
@@ -86,26 +95,27 @@ void RunEvaluateGrant(benchmark::State& state, bool reference) {
     break;
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EvaluateGrant(g, grantee, targets));
+    benchmark::DoNotOptimize(copy ? EvaluateGrantByCopy(g, grantee, targets)
+                                  : EvaluateGrant(g, grantee, targets));
   }
 }
 
 void BM_EvaluateGrant(benchmark::State& state) {
-  RunEvaluateGrant(state, /*reference=*/false);
+  RunEvaluateGrant(state, /*copy=*/false);
 }
 BENCHMARK(BM_EvaluateGrant)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_EvaluateGrantCopyReference(benchmark::State& state) {
-  RunEvaluateGrant(state, /*reference=*/true);
+  RunEvaluateGrant(state, /*copy=*/true);
 }
 BENCHMARK(BM_EvaluateGrantCopyReference)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
 // LOW's actual per-decision pattern: one E(q) plus K competitor E(p)
 // evaluations against the same base graph — the case the memoized critical
 // path distances are designed for.
-void RunLowDecision(benchmark::State& state, bool reference) {
+void RunLowDecision(benchmark::State& state, bool copy) {
   const int n = static_cast<int>(state.range(0));
-  Wtpg g = RandomGraph(n, 0.2, 7, reference);
+  Wtpg g = RandomGraph(n, 0.2, 7);
   // The first three unoriented edges play q and two competitors p1, p2.
   std::vector<std::pair<TxnId, TxnId>> evals;
   for (const auto& [a, b] : g.UnorientedEdges()) {
@@ -114,18 +124,19 @@ void RunLowDecision(benchmark::State& state, bool reference) {
   }
   for (auto _ : state) {
     for (const auto& [grantee, target] : evals) {
-      benchmark::DoNotOptimize(EvaluateGrant(g, grantee, {target}));
+      benchmark::DoNotOptimize(copy ? EvaluateGrantByCopy(g, grantee, {target})
+                                    : EvaluateGrant(g, grantee, {target}));
     }
   }
 }
 
 void BM_LowDecisionJournal(benchmark::State& state) {
-  RunLowDecision(state, /*reference=*/false);
+  RunLowDecision(state, /*copy=*/false);
 }
 BENCHMARK(BM_LowDecisionJournal)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_LowDecisionCopyReference(benchmark::State& state) {
-  RunLowDecision(state, /*reference=*/true);
+  RunLowDecision(state, /*copy=*/true);
 }
 BENCHMARK(BM_LowDecisionCopyReference)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 

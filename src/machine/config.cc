@@ -105,14 +105,19 @@ Status SimConfig::Validate() const {
   if (run.retry_fallback_ms < 0.0) {
     return Status::InvalidArgument("retry_fallback_ms must be >= 0");
   }
+  if (run.retry_fallback_ms > 0.0 && run.retry_fallback_ms < kTickMs) {
+    return Status::InvalidArgument(
+        "retry_fallback_ms must be 0 or at least the 0.001 ms clock tick");
+  }
   if (machine.quantum_objects < 0.0) {
     return Status::InvalidArgument("quantum_objects must be >= 0");
   }
-  if (run.timeline_sample_ms < 0.0) {
-    return Status::InvalidArgument("timeline_sample_ms must be >= 0");
-  }
   if (run.telemetry_sample_ms < 0.0) {
     return Status::InvalidArgument("telemetry_sample_ms must be >= 0");
+  }
+  if (run.telemetry_sample_ms > 0.0 && run.telemetry_sample_ms < kTickMs) {
+    return Status::InvalidArgument(
+        "telemetry_sample_ms must be 0 or at least the 0.001 ms clock tick");
   }
   if (run.telemetry_sample_ms > 0.0 && run.telemetry_capacity == 0) {
     return Status::InvalidArgument(
@@ -187,7 +192,6 @@ std::string RunToJson(const RunSection& r) {
       .Add("retry_fallback_ms", r.retry_fallback_ms)
       .Add("admission_retry_limit", r.admission_retry_limit)
       .Add("restart_delay_ms", r.restart_delay_ms)
-      .Add("timeline_sample_ms", r.timeline_sample_ms)
       .Add("telemetry_sample_ms", r.telemetry_sample_ms)
       .Add("telemetry_capacity", r.telemetry_capacity)
       .Add("trace_enabled", r.trace_enabled)
@@ -329,8 +333,6 @@ Status ParseRun(const JsonValue& obj, RunSection* r) {
       s = ReadInt("run", key, v, &r->admission_retry_limit);
     } else if (key == "restart_delay_ms") {
       s = ReadDouble("run", key, v, &r->restart_delay_ms);
-    } else if (key == "timeline_sample_ms") {
-      s = ReadDouble("run", key, v, &r->timeline_sample_ms);
     } else if (key == "telemetry_sample_ms") {
       s = ReadDouble("run", key, v, &r->telemetry_sample_ms);
     } else if (key == "telemetry_capacity") {

@@ -102,9 +102,6 @@ struct RunSection {
   // constructs no telemetry at all and stays byte-identical to the goldens.
   double telemetry_sample_ms = 0.0;
   uint64_t telemetry_capacity = 1 << 16;
-  // When > 0, sample a system-state timeline every this many milliseconds
-  // (Machine::timeline()).
-  double timeline_sample_ms = 0.0;
   // Structured event tracing (src/trace/): when true, the machine records
   // typed lifecycle + scheduler-decision events into a ring buffer of
   // trace_capacity events (most recent kept; see Machine::trace()). Costs

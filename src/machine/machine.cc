@@ -85,13 +85,9 @@ Machine::Machine(const SimConfig& config, WorkloadGenerator workload,
   if (config.machine.batch_mpl > 0) {
     scheduler_->set_admission(AdmissionControl{config.machine.batch_mpl});
   }
-  // Run-health telemetry. The legacy timeline is a view over the same
-  // store, so timeline_sample_ms alone also constructs the bundle (at the
-  // legacy period); telemetry_sample_ms wins when both are set, and only
-  // it opts the run into health.* counters (see Run()).
-  const double sample_ms = config.run.telemetry_sample_ms > 0.0
-                               ? config.run.telemetry_sample_ms
-                               : config.run.timeline_sample_ms;
+  // Run-health telemetry: constructed only when sampling is on, which also
+  // opts the run into the health.* counters (see Run()).
+  const double sample_ms = config.run.telemetry_sample_ms;
   if (sample_ms > 0.0) {
     // The configured capacity is an upper bound; a finite horizon needs at
     // most horizon/period rows, so clamp to that and keep the per-replica
@@ -104,14 +100,13 @@ Machine::Machine(const SimConfig& config, WorkloadGenerator workload,
             std::min(config.run.telemetry_capacity, expected)));
     RegisterMachineGauges();
     telemetry_->Seal();
-    timeline_.Attach(&telemetry_->store());
   }
 }
 
 void Machine::RegisterMachineGauges() {
   GaugeRegistry& gauges = telemetry_->gauges();
-  // Registration order is the store's column order; the legacy timeline
-  // schema reads its six columns by name, so renames here are breaking.
+  // Registration order is the store's column order, and exported CSV and
+  // trace counter tracks name the columns, so renames here are breaking.
   gauges.Register("machine.in_flight", [this] {
     return static_cast<double>(in_flight_);
   });
@@ -248,12 +243,11 @@ RunStats Machine::Run() {
     stats_.counters().Counter("admission.gated") = scheduler_->admission_gated();
   }
   if (trace_.enabled()) trace_.ExportCounters(&stats_.counters());
-  // health.* counters are gated on the telemetry config key (not on the
-  // bundle existing): a legacy timeline-only run keeps its counter set —
-  // and therefore its JSON — byte-identical to prior versions. The
+  // health.* counters exist only in telemetry runs, so a run without
+  // sampling keeps its counter set — and its golden JSON — unchanged. The
   // decision-path counters (retry-storm and cache visibility) share the
-  // same gate for the same reason, in fixed order ahead of the health set.
-  if (telemetry_ != nullptr && config_.run.telemetry_sample_ms > 0.0) {
+  // gate, in fixed order ahead of the health set.
+  if (telemetry_ != nullptr) {
     stats_.counters().Counter("sched.decision_retries") = decision_retries_;
     stats_.counters().Counter("sched.block_shortcuts") = block_shortcuts_;
     scheduler_->ExportDecisionCounters(&stats_.counters());
@@ -897,8 +891,8 @@ void Machine::RetryAdmissions() {
 void Machine::ScheduleTelemetrySample() {
   if (telemetry_ == nullptr) return;
   const SimTime period = telemetry_->period();
-  // Same schedule the legacy timeline used: samples land at exact
-  // multiples of the period, the last one at the horizon inclusive.
+  // Samples land at exact multiples of the period, the last one at the
+  // horizon inclusive.
   if (sim_.Now() + period > config_.horizon()) return;
   sim_.ScheduleAfter(period, [this] { TakeTelemetrySample(); });
 }

@@ -14,7 +14,6 @@
 #include "machine/data_placement.h"
 #include "machine/dpn.h"
 #include "metrics/stats.h"
-#include "metrics/timeline.h"
 #include "model/transaction.h"
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
@@ -74,14 +73,8 @@ class Machine {
   const ScheduleLog& schedule_log() const { return log_; }
   const SimConfig& config() const { return config_; }
 
-  // Time-series samples (empty unless config.run.timeline_sample_ms or
-  // telemetry_sample_ms is > 0). A legacy-schema view over the telemetry
-  // store below.
-  const TimelineRecorder& timeline() const { return timeline_; }
-
   // Run-health telemetry: the sampled gauge store and detectors. Null when
-  // both telemetry_sample_ms and timeline_sample_ms are 0 — a disabled run
-  // pays nothing.
+  // telemetry_sample_ms is 0 — a disabled run pays nothing.
   const Telemetry* telemetry() const { return telemetry_.get(); }
 
   // Structured event trace (empty unless config.run.trace_enabled). Holds the
@@ -183,7 +176,6 @@ class Machine {
   StatsCollector stats_;
   ScheduleLog log_;
   std::unique_ptr<Telemetry> telemetry_;
-  TimelineRecorder timeline_;
   TraceRecorder trace_;
 
   std::vector<TxnSlot> txns_;

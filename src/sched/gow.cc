@@ -96,9 +96,7 @@ Decision GowScheduler::DecideLock(Transaction& txn, int step) {
   const uint64_t version = graph_.version();
   const uint64_t weights = graph_.weights_epoch();
   const EvalCache::Entry* cached =
-      graph_.reference_decisions()
-          ? nullptr
-          : eval_cache_.Lookup(txn.id(), targets, version, weights);
+      eval_cache_.Lookup(txn.id(), targets, version, weights);
   if (cached != nullptr) {
     base_cp = cached->value_a;
     with_cp = cached->value_b;
@@ -116,12 +114,10 @@ Decision GowScheduler::DecideLock(Transaction& txn, int step) {
     WTPG_CHECK(with_grant.ok()) << with_grant.status().ToString();
     base_cp = base->critical_path;
     with_cp = with_grant->critical_path;
-    if (!graph_.reference_decisions()) {
-      EvalCache::Entry& e =
-          eval_cache_.Store(txn.id(), targets, version, weights);
-      e.value_a = base_cp;
-      e.value_b = with_cp;
-    }
+    EvalCache::Entry& e =
+        eval_cache_.Store(txn.id(), targets, version, weights);
+    e.value_a = base_cp;
+    e.value_b = with_cp;
   }
   const bool suboptimal = with_cp > base_cp + 1e-9;
   if (tracing()) {

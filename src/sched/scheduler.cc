@@ -270,10 +270,6 @@ size_t WtpgSchedulerBase::CountPendingConflicters(FileId file, TxnId requester,
 
 double WtpgSchedulerBase::CachedEvaluateGrant(
     TxnId txn, const std::vector<TxnId>& targets) {
-  if (graph_.reference_decisions()) {
-    ++wtpg_evals_;
-    return EvaluateGrant(graph_, txn, targets);
-  }
   const uint64_t version = graph_.version();
   const uint64_t weights = graph_.weights_epoch();
   if (const EvalCache::Entry* e =
@@ -290,10 +286,6 @@ double WtpgSchedulerBase::CachedEvaluateGrant(
 
 bool WtpgSchedulerBase::CachedWouldCycle(TxnId txn,
                                          const std::vector<TxnId>& targets) {
-  if (graph_.reference_decisions()) {
-    ++wtpg_evals_;
-    return graph_.WouldCycle(txn, targets);
-  }
   const uint64_t growth = graph_.growth_version();
   const uint64_t shrink = graph_.shrink_version();
   if (const CycleCache::Entry* e =

@@ -13,6 +13,10 @@ using SimTime = int64_t;
 
 inline constexpr SimTime kSimTimeMax = INT64_MAX;
 
+// One tick of the clock, in ms. A positive period below it can round to
+// zero ticks, and a timer on such a period never advances the clock.
+inline constexpr double kTickMs = 0.001;
+
 constexpr SimTime MsToTime(double ms) {
   return static_cast<SimTime>(ms * 1000.0 + (ms >= 0 ? 0.5 : -0.5));
 }

@@ -117,8 +117,15 @@ class JsonParser {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) {
+        return Error(StrCat("nesting deeper than ", kMaxJsonDepth));
+      }
+      ++depth_;
+      Status status = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth_;
+      return status;
+    }
     if (c == '"') {
       out->type_ = JsonValue::Type::kString;
       return ParseString(&out->string_value_);
@@ -201,6 +208,7 @@ class JsonParser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // Open arrays and objects around pos_.
 };
 
 StatusOr<JsonValue> ParseJson(const std::string& text) {

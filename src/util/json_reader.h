@@ -10,9 +10,10 @@
 namespace wtpgsched {
 
 // Parsed JSON value — the counterpart of util/json_writer, sized for the
-// artifacts this library writes itself (config files, stats objects): full
-// nesting, no streaming, keys kept in document order. Not a validating
-// general-purpose parser; anything structurally malformed fails loudly.
+// artifacts this library writes itself (config files, stats objects):
+// nesting up to kMaxJsonDepth, no streaming, keys kept in document order.
+// Not a validating general-purpose parser; anything structurally malformed
+// fails with a status.
 class JsonValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kObject, kArray };
@@ -41,8 +42,12 @@ class JsonValue {
   std::vector<JsonValue> elements_;
 };
 
+// Deepest array/object nesting ParseJson accepts. Each level is one
+// recursive call, so the bound keeps hostile input off the stack's end.
+inline constexpr int kMaxJsonDepth = 256;
+
 // Parses one JSON document (trailing whitespace allowed, trailing garbage
-// is an error).
+// is an error; so is nesting deeper than kMaxJsonDepth).
 StatusOr<JsonValue> ParseJson(const std::string& text);
 
 }  // namespace wtpgsched

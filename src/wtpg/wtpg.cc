@@ -1,7 +1,6 @@
 #include "wtpg/wtpg.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 
 #include "util/logging.h"
@@ -13,34 +12,7 @@ void EraseValue(std::vector<int32_t>* list, int32_t value) {
   list->erase(std::remove(list->begin(), list->end(), value), list->end());
 }
 
-bool EnvReferenceSpeculation() {
-  static const bool value = [] {
-    const char* env = std::getenv("WTPG_REFERENCE_SPECULATION");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-  }();
-  return value;
-}
-
-// Deliberately re-read on every construction (no static cache) so the
-// differential tests can flip the mode between machine runs in one process.
-bool EnvReferenceDecisions() {
-  const char* env = std::getenv("WTPG_REFERENCE_DECISIONS");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 }  // namespace
-
-Wtpg::Wtpg()
-    : reference_speculation_(EnvReferenceSpeculation()),
-      reference_decisions_(EnvReferenceDecisions()) {}
-
-Wtpg::Wtpg(bool reference_speculation)
-    : reference_speculation_(reference_speculation),
-      reference_decisions_(EnvReferenceDecisions()) {}
-
-Wtpg::Wtpg(bool reference_speculation, bool reference_decisions)
-    : reference_speculation_(reference_speculation),
-      reference_decisions_(reference_decisions) {}
 
 void Wtpg::SetSparsePrecedence() {
   WTPG_CHECK(slot_of_.empty() && num_edges_ == 0)
@@ -375,27 +347,8 @@ void Wtpg::ForceOrientSparse(TxnId from, TxnId to) {
 bool Wtpg::WouldCycle(TxnId from, const std::vector<TxnId>& targets) const {
   if (targets.empty()) return false;
   const int32_t sf = SlotOf(from);
-  if (reference_decisions_) {
-    // Historical implementation: fresh reverse DFS and a per-target edge
-    // lookup whose only job is the existence CHECK and the explicit
-    // oriented-the-other-way test.
-    const uint64_t epoch = MarkReachable(&sf, 1, /*reverse=*/true, nullptr);
-    for (TxnId u : targets) {
-      if (u == from) return true;
-      const int32_t su = SlotOf(u);
-      const Edge* e = FindEdgeBySlots(sf, su);
-      // Sparse mode: an unmaterialized edge is unoriented by definition.
-      WTPG_CHECK(sparse_precedence_ || e != nullptr)
-          << "WouldCycle: no edge T" << from << "-T" << u;
-      if (e != nullptr && e->oriented && e->from == u) return true;
-      if (slots_[static_cast<size_t>(su)].mark_rev == epoch) {
-        return true;  // u ~> from.
-      }
-    }
-    return false;
-  }
   // An edge oriented u -> from makes u a direct in-neighbor of `from`, so
-  // the ancestor marks subsume the historical per-target edge lookup.
+  // the ancestor marks also cover a pair already fixed the other way.
   const uint64_t epoch = AncestorEpoch(sf);
   for (TxnId u : targets) {
     if (u == from) return true;
@@ -422,9 +375,6 @@ bool Wtpg::OrientBatchImpl(TxnId from, const std::vector<TxnId>& targets,
                            OrientJournal* journal) {
   if (targets.empty()) return true;
   const int32_t sf = SlotOf(from);
-  if (reference_decisions_) {
-    return OrientBatchImplReference(from, targets, journal, sf);
-  }
   // Every new edge leaves `from`, so any cycle the batch could close must
   // run over a pre-existing path back into `from`: one ancestor probe
   // (cached across a WouldCycle immediately preceding this batch) checks
@@ -467,11 +417,11 @@ bool Wtpg::OrientBatchImpl(TxnId from, const std::vector<TxnId>& targets,
     return true;
   }
   // Forced transitive closure over D' = nodes reachable from the *newly*
-  // oriented targets. The historical implementation walked the full
-  // descendant set D = descendants(from); D' suffices: a newly forced edge
-  // x->y needs a connecting path x ~> from ~> y that did not exist before
-  // the batch, i.e. one through a new direct edge from -> u, so y is
-  // reachable from some new target u (y ∈ D'). For y ∈ D \ D' the path
+  // oriented targets. Walking the full descendant set D = descendants(from)
+  // would also be correct, but D' suffices: a newly forced edge x->y needs
+  // a connecting path x ~> from ~> y that did not exist before the batch,
+  // i.e. one through a new direct edge from -> u, so y is reachable from
+  // some new target u (y ∈ D'). For y ∈ D \ D' the path
   // x ~> from ~> y predates the batch and the pre-batch closure invariant
   // already oriented (x, y). Forcings cannot cascade (marking x->y with
   // x ∈ A = ancestors(from) adds no reachability beyond x ~> from ~> y),
@@ -486,89 +436,6 @@ bool Wtpg::OrientBatchImpl(TxnId from, const std::vector<TxnId>& targets,
       ClearDist(slots_[static_cast<size_t>(d)]);
     }
   }
-  for (const int32_t y : visited_scratch_) {
-    const Node& ny = slots_[static_cast<size_t>(y)];
-    // ny.neighbors cannot grow during the closure marks, but iterate by
-    // index for clarity that MarkOriented only touches out/in lists.
-    for (size_t i = 0; i < ny.neighbors.size(); ++i) {
-      const int32_t x = ny.neighbors[i];
-      if (slots_[static_cast<size_t>(x)].mark_rev != a_epoch) continue;
-      const Edge* e = FindEdgeBySlots(x, y);
-      if (e->oriented) continue;
-      MarkOriented(x, y, journal);
-    }
-  }
-  return true;
-}
-
-bool Wtpg::OrientBatchImplReference(TxnId from,
-                                    const std::vector<TxnId>& targets,
-                                    OrientJournal* journal, int32_t sf) {
-  // Historical implementation: two-pass validate-then-mark and closure over
-  // the full descendant set of `from`. See OrientBatchImpl for the proofs
-  // the incremental path relies on; this path is the differential baseline.
-  const uint64_t a_epoch = MarkReachable(&sf, 1, /*reverse=*/true, nullptr);
-  for (TxnId u : targets) {
-    if (u == from) return false;
-    const int32_t su = SlotOf(u);
-    if (sparse_precedence_) {
-      // Materialize in the incremental path's order — ancestor check, then
-      // on-demand edge — so a failing batch leaves both implementations
-      // with the same set of (unoriented) on-demand edges. An edge already
-      // oriented u -> from is caught by the ancestor marks (u is a direct
-      // in-neighbor of `from`).
-      if (slots_[static_cast<size_t>(su)].mark_rev == a_epoch) {
-        return false;  // u ~> from.
-      }
-      EnsureEdgeForOrient(sf, su);
-      continue;
-    }
-    const Edge* e = FindEdgeBySlots(sf, su);
-    WTPG_CHECK(e != nullptr) << "OrientBatch: no edge T" << from << "-T" << u;
-    if (e->oriented) {
-      if (e->from != from) return false;  // Fixed the other way.
-      continue;
-    }
-    if (slots_[static_cast<size_t>(su)].mark_rev == a_epoch) {
-      return false;  // u ~> from.
-    }
-  }
-  // Mark the new precedence edges.
-  bool any_new = false;
-  for (TxnId u : targets) {
-    const int32_t su = SlotOf(u);
-    const Edge* e = sparse_precedence_ ? EnsureEdgeForOrient(sf, su)
-                                       : FindEdgeBySlots(sf, su);
-    if (e->oriented) continue;  // Already from -> u (checked above).
-    MarkOriented(sf, su, journal);
-    any_new = true;
-  }
-  if (!any_new) return true;
-  // Forced transitive closure, in one pass. Let A = ancestors(from) and
-  // D = descendants(from) *after* the direct marks. The direct edges add no
-  // ancestor or descendant of `from` itself (a new path into `from` would
-  // be a cycle, already excluded), so A is exactly the set stamped above.
-  // Every path the batch creates runs x ~> from ~> y; hence (a) a conflict
-  // edge is newly forced iff one endpoint is in A and the other in D (the
-  // connecting path x ~> from ~> y always exists), and (b) marking a forced
-  // edge x->y creates no reachability beyond x ~> from ~> y itself, so
-  // forcings cannot cascade outside A x D — walking the unoriented
-  // adjacency of D is the whole closure. A forced edge cannot conflict
-  // either: a cycle would need its head in A and tail in D simultaneously,
-  // i.e. a node in A ∩ D \ {from}, which is a pre-existing cycle through
-  // `from`. (Dense storage walks D's conflict neighbors instead of scanning
-  // the global edge table: every candidate edge has its D endpoint here.)
-  const uint64_t d_epoch =
-      MarkReachable(&sf, 1, /*reverse=*/false, &visited_scratch_);
-  (void)d_epoch;
-  // Every node whose longest path can change is downstream of `from` (the
-  // head of every new edge is in D): invalidate the region once.
-  if (dist_valid_ > 0) {
-    for (int32_t d : visited_scratch_) {
-      ClearDist(slots_[static_cast<size_t>(d)]);
-    }
-  }
-  if (sparse_precedence_) return true;  // No forced closure in sparse mode.
   for (const int32_t y : visited_scratch_) {
     const Node& ny = slots_[static_cast<size_t>(y)];
     // ny.neighbors cannot grow during the closure marks, but iterate by
@@ -646,15 +513,6 @@ bool Wtpg::TryOrient(TxnId from, TxnId to) {
   WTPG_CHECK(e != nullptr) << "TryOrient on nonexistent edge T" << from
                            << "->T" << to;
   if (e->oriented) return e->from == from;
-  if (reference_speculation_) {
-    // Historical implementation: work on a copy so a failed closure leaves
-    // *this untouched.
-    if (WouldCycle(from, {to})) return false;
-    Wtpg copy = *this;
-    if (!copy.OrientBatchNoRollback(from, {to})) return false;
-    *this = std::move(copy);
-    return true;
-  }
   OrientJournal journal;
   return OrientBatch(from, {to}, &journal);  // Keep on success.
 }
@@ -663,10 +521,6 @@ bool Wtpg::CanOrient(TxnId from, TxnId to) {
   const Edge* e = FindEdge(from, to);
   if (e == nullptr) return false;
   if (e->oriented) return e->from == from;
-  if (reference_speculation_) {
-    Wtpg copy = *this;
-    return copy.OrientBatchNoRollback(from, {to});
-  }
   OrientJournal journal;
   const bool ok = OrientBatch(from, {to}, &journal);
   Rollback(&journal);
@@ -675,7 +529,6 @@ bool Wtpg::CanOrient(TxnId from, TxnId to) {
 
 double Wtpg::CriticalPath() const {
   if (slot_of_.empty()) return 0.0;
-  if (reference_speculation_) return CriticalPathUncached();
   double critical = 0.0;
   for (const Node& node : slots_) {
     if (node.id == kInvalidTxn) continue;
@@ -703,35 +556,6 @@ double Wtpg::EvalDist(const Node& node) const {
   node.dist_state = kDistValid;
   ++dist_valid_;
   return best;
-}
-
-double Wtpg::CriticalPathUncached() const {
-  if (slot_of_.empty()) return 0.0;
-  // Fresh DP per call over slot-indexed scratch (reference mode only).
-  std::vector<double> dist(slots_.size(), 0.0);
-  std::vector<uint8_t> state(slots_.size(), kDistInvalid);
-  std::function<double(int32_t)> eval = [&](int32_t v) -> double {
-    const size_t vi = static_cast<size_t>(v);
-    if (state[vi] == kDistValid) return dist[vi];
-    // Visiting marker guards against cycles (fail loudly, not forever).
-    WTPG_CHECK(state[vi] != kDistVisiting) << "cycle in oriented WTPG";
-    state[vi] = kDistVisiting;
-    const Node& node = slots_[vi];
-    double best = node.remaining;
-    for (size_t i = 0; i < node.in.size(); ++i) {
-      best = std::max(
-          best, eval(node.in[i]) + node.in_w[i]);
-    }
-    dist[vi] = best;
-    state[vi] = kDistValid;
-    return best;
-  };
-  double critical = 0.0;
-  for (size_t s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].id == kInvalidTxn) continue;
-    critical = std::max(critical, eval(static_cast<int32_t>(s)));
-  }
-  return critical;
 }
 
 std::vector<TxnId> Wtpg::Nodes() const {
@@ -904,11 +728,6 @@ bool Wtpg::CheckInvariants() const {
 
 double EvaluateGrant(Wtpg& g, TxnId grantee,
                      const std::vector<TxnId>& orient_to) {
-  if (g.reference_speculation()) {
-    Wtpg copy = g;
-    if (!copy.OrientBatchNoRollback(grantee, orient_to)) return kInfiniteCost;
-    return copy.CriticalPath();
-  }
   Wtpg::OrientJournal journal;
   if (!g.OrientBatch(grantee, orient_to, &journal)) return kInfiniteCost;
   const double critical = g.CriticalPath();

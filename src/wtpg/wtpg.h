@@ -44,10 +44,8 @@ inline constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
 // *in place*: OrientBatch records every edge it marks into an OrientJournal
 // and Rollback undoes them in reverse order, restoring the graph exactly —
 // including adjacency-vector order — so no decision ever copies the graph.
-// Constructing with reference_speculation = true (or setting the
-// WTPG_REFERENCE_SPECULATION environment variable) switches TryOrient /
-// CanOrient / EvaluateGrant back to the historical clone-and-discard
-// implementation, kept alive for differential testing.
+// The differential suites check every decision path against a naive
+// clone-and-discard oracle (tests/wtpg/reference_wtpg.h).
 //
 // Version counters (the decision-cache contract, DESIGN.md section 12):
 // version() changes on every structural mutation — node add/remove, edge
@@ -66,11 +64,7 @@ inline constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
 // The decision hot paths (WouldCycle, OrientBatch closure) additionally
 // keep a per-slot cached reverse-reachability epoch: repeated ancestor
 // probes from the same slot reuse one BFS until the version bumps or
-// another reverse probe recycles the shared mark space. Constructing with
-// reference_decisions = true (or setting WTPG_REFERENCE_DECISIONS, which —
-// unlike WTPG_REFERENCE_SPECULATION — is re-read per construction)
-// switches these paths back to the historical implementations, kept
-// compiled-in for differential testing.
+// another reverse probe recycles the shared mark space.
 //
 // Sparse precedence mode (SetSparsePrecedence) is for clients whose only
 // graph reads are reachability facts — C2PL's WouldCycle probes. It drops
@@ -139,22 +133,13 @@ class Wtpg {
     std::vector<Record> records_;
   };
 
-  // The default modes come from the WTPG_REFERENCE_SPECULATION and
-  // WTPG_REFERENCE_DECISIONS environment variables (unset / "0" => journal
-  // speculation and cached decision paths).
-  Wtpg();
-  explicit Wtpg(bool reference_speculation);
-  Wtpg(bool reference_speculation, bool reference_decisions);
-  // Copyable by design (the reference mode and test harnesses clone).
+  Wtpg() = default;
+  // Copyable by design (test harnesses and benches clone).
   Wtpg(const Wtpg&) = default;
   Wtpg& operator=(const Wtpg&) = default;
 
-  bool reference_speculation() const { return reference_speculation_; }
-  bool reference_decisions() const { return reference_decisions_; }
-
   // Switches this graph to sparse precedence mode (see the class comment).
-  // Must be called before any node is added; both decision paths (cached
-  // and reference) honor the mode, so differential runs stay comparable.
+  // Must be called before any node is added.
   void SetSparsePrecedence();
   bool sparse_precedence() const { return sparse_precedence_; }
 
@@ -205,7 +190,7 @@ class Wtpg {
   bool TryOrient(TxnId from, TxnId to);
 
   // Would TryOrient(from, to) succeed? Logically const: speculates in place
-  // and rolls back before returning (reference mode works on a clone).
+  // and rolls back before returning.
   bool CanOrient(TxnId from, TxnId to);
 
   // Orients from -> to for every target, with closure, recording every edge
@@ -379,12 +364,6 @@ class Wtpg {
   bool OrientBatchImpl(TxnId from, const std::vector<TxnId>& targets,
                        OrientJournal* journal);
 
-  // The historical two-pass implementation (validate all targets, then
-  // mark, then close over the full descendant set), kept compiled-in for
-  // the reference_decisions mode and differential tests.
-  bool OrientBatchImplReference(TxnId from, const std::vector<TxnId>& targets,
-                                OrientJournal* journal, int32_t sf);
-
   // Epoch whose reverse marks identify ancestors(sf) (including sf), via
   // the per-slot probe cache when still valid, else a fresh reverse DFS.
   uint64_t AncestorEpoch(int32_t sf) const;
@@ -417,10 +396,6 @@ class Wtpg {
   // The memoized longest-path DP over the in-edges of `node`.
   double EvalDist(const Node& node) const;
 
-  // The uncached longest-path DP (historical implementation), used by the
-  // reference mode and by CheckInvariants to validate the memo.
-  double CriticalPathUncached() const;
-
   // Dense node slab: live slots hold id != kInvalidTxn, free slots chain
   // through next_free. Recycled slots keep their vectors' capacity, so a
   // warmed graph adds and removes nodes without touching the heap.
@@ -430,8 +405,6 @@ class Wtpg {
   std::unordered_map<TxnId, int32_t> slot_of_;
   std::vector<EdgeBucket> edge_buckets_;  // Power-of-two sized; may be empty.
   size_t num_edges_ = 0;
-  bool reference_speculation_ = false;
-  bool reference_decisions_ = false;
   bool sparse_precedence_ = false;
   // Version counters (see the class comment). version_seq_ is the
   // never-rewound allocator behind them; rollback restores version_ /
@@ -461,8 +434,7 @@ class Wtpg {
 // tests: orients grantee -> u for every u in `orient_to` (with closure) and
 // returns the resulting critical path — or kInfiniteCost if any orientation
 // would deadlock (cycle). Logically const: speculates on `g` via the
-// orientation journal and rolls back before returning, so `g` is unchanged
-// (in reference mode it clones instead).
+// orientation journal and rolls back before returning, so `g` is unchanged.
 double EvaluateGrant(Wtpg& g, TxnId grantee,
                      const std::vector<TxnId>& orient_to);
 

@@ -66,6 +66,56 @@ TEST(ConfigTest, RejectsBadMplAndK) {
   EXPECT_FALSE(c.Validate().ok());
 }
 
+// A positive period below the 1 us clock tick rounds to zero ticks: the
+// fallback timer and the telemetry sampler would reschedule at the same
+// instant forever, and FaultPlan::Compile would grow its schedule without
+// end. Zero (off) and one tick are fine.
+TEST(ConfigTest, RejectsPeriodsBelowTheClockTick) {
+  SimConfig c;
+  c.run.telemetry_sample_ms = 0.0001;
+  EXPECT_FALSE(c.Validate().ok());
+  c.run.telemetry_sample_ms = kTickMs;
+  EXPECT_TRUE(c.Validate().ok());
+
+  c = SimConfig{};
+  c.run.retry_fallback_ms = 0.0001;
+  EXPECT_FALSE(c.Validate().ok());
+  c.run.retry_fallback_ms = kTickMs;
+  EXPECT_TRUE(c.Validate().ok());
+  c.run.retry_fallback_ms = 0.0;
+  EXPECT_TRUE(c.Validate().ok());
+
+  c = SimConfig{};
+  c.fault.dpn_mttf_ms = 0.0001;
+  EXPECT_FALSE(c.Validate().ok());
+  c.fault.dpn_mttf_ms = 120'000;
+  c.fault.dpn_mttr_ms = 0.0001;
+  EXPECT_FALSE(c.Validate().ok());
+  c.fault.dpn_mttf_ms = kTickMs;
+  c.fault.dpn_mttr_ms = kTickMs;
+  EXPECT_TRUE(c.Validate().ok());
+
+  c = SimConfig{};
+  c.fault.straggler_mtbf_ms = 0.0001;
+  EXPECT_FALSE(c.Validate().ok());
+  c.fault.straggler_mtbf_ms = 200'000;
+  c.fault.straggler_duration_ms = 0.0001;
+  EXPECT_FALSE(c.Validate().ok());
+  c.fault.straggler_mtbf_ms = kTickMs;
+  c.fault.straggler_duration_ms = kTickMs;
+  EXPECT_TRUE(c.Validate().ok());
+}
+
+// An abort rate above one injection per clock tick on average spins the
+// injection schedule the same way.
+TEST(ConfigTest, RejectsAbortRatesAboveOnePerTick) {
+  SimConfig c;
+  c.fault.abort_rate_per_s = 1e12;
+  EXPECT_FALSE(c.Validate().ok());
+  c.fault.abort_rate_per_s = 1e6;
+  EXPECT_TRUE(c.Validate().ok());
+}
+
 TEST(ConfigTest, SchedulerKindNames) {
   EXPECT_STREQ(SchedulerKindName(SchedulerKind::kNodc), "NODC");
   EXPECT_STREQ(SchedulerKindName(SchedulerKind::kAsl), "ASL");
@@ -103,7 +153,6 @@ TEST(ConfigJsonTest, NonDefaultConfigRoundTrips) {
   c.run.retry_fallback_ms = 250.0;
   c.run.admission_retry_limit = 8;
   c.run.restart_delay_ms = 2500.0;
-  c.run.timeline_sample_ms = 5000.0;
   c.run.telemetry_sample_ms = 10'000.0;
   c.run.telemetry_capacity = 4096;
   c.run.trace_enabled = true;
@@ -157,6 +206,13 @@ TEST(ConfigJsonTest, RejectsUnknownKeysNamingSectionAndKey) {
 TEST(ConfigJsonTest, RejectsRemovedEngineKey) {
   EXPECT_EQ(LoadError(R"({"run":{"shards":4}})"),
             "config field run.shards: unknown key");
+}
+
+TEST(ConfigJsonTest, RejectsSubTickPeriods) {
+  EXPECT_EQ(LoadError(R"({"run":{"retry_fallback_ms":0.0001}})"),
+            "retry_fallback_ms must be 0 or at least the 0.001 ms clock tick");
+  EXPECT_EQ(LoadError(R"({"fault":{"dpn_mttf_ms":0.0001}})"),
+            "dpn_mttf_ms must be 0 or at least the 0.001 ms clock tick");
 }
 
 TEST(ConfigJsonTest, RejectsWrongTypes) {

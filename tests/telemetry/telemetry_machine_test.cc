@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -114,19 +115,63 @@ TEST(TelemetryMachineTest, SamplesAtPeriodWithDerivedColumns) {
   }
 }
 
-// Legacy timeline-only runs reuse the telemetry sampler but must not grow
-// health.* counters (their RunStats JSON is pinned by older goldens).
-TEST(TelemetryMachineTest, LegacyTimelineHasNoHealthCounters) {
+// Telemetry is opt-in: without telemetry_sample_ms the machine builds no
+// telemetry and the run reports none of the observation-only counters.
+TEST(TelemetryMachineTest, DisabledByDefault) {
   SimConfig c = BaseConfig(SchedulerKind::kAsl);
-  c.run.timeline_sample_ms = 10'000;
   Machine machine(c, Pattern::Experiment1(c.machine.num_files));
   const RunStats stats = machine.Run();
-  ASSERT_NE(machine.telemetry(), nullptr);
-  EXPECT_TRUE(machine.timeline().attached());
-  EXPECT_EQ(machine.timeline().size(), 20u);
-  for (const auto& [name, value] : stats.counters) {
-    EXPECT_NE(name.rfind("health.", 0), 0u) << name;
+  EXPECT_EQ(machine.telemetry(), nullptr);
+  EXPECT_EQ(stats.counters, SansHealth(stats.counters));
+}
+
+// The cumulative commit column ends at the run's completion count, and
+// the in-flight column sees the transactions the run had.
+TEST(TelemetryMachineTest, CommitsColumnEndsAtCompletions) {
+  SimConfig c;
+  c.scheduler = SchedulerKind::kNodc;
+  c.workload.arrival_rate_tps = 0.5;
+  c.run.horizon_ms = 100'000;
+  c.run.telemetry_sample_ms = 10'000;
+  c.run.seed = 4;
+  Machine machine(c, Pattern::Experiment1(16));
+  const RunStats stats = machine.Run();
+  const TelemetryStore& store = machine.telemetry()->store();
+  ASSERT_EQ(store.size(), 10u);
+  EXPECT_EQ(store.time(9), MsToTime(100'000));
+  const int commits = store.ColumnIndex("machine.commits");
+  const int in_flight = store.ColumnIndex("machine.in_flight");
+  ASSERT_GE(commits, 0);
+  ASSERT_GE(in_flight, 0);
+  EXPECT_EQ(store.value(9, static_cast<size_t>(commits)),
+            static_cast<double>(stats.completions));
+  double peak_in_flight = 0.0;
+  for (size_t row = 0; row < store.size(); ++row) {
+    peak_in_flight = std::max(
+        peak_in_flight, store.value(row, static_cast<size_t>(in_flight)));
   }
+  EXPECT_GT(peak_in_flight, 0.0);
+}
+
+// A saturated ASL run builds an admission queue: the parked gauge rises.
+TEST(TelemetryMachineTest, ParkedReflectsContention) {
+  SimConfig c;
+  c.scheduler = SchedulerKind::kAsl;
+  c.workload.arrival_rate_tps = 1.2;
+  c.run.horizon_ms = 500'000;
+  c.run.telemetry_sample_ms = 50'000;
+  c.run.seed = 6;
+  Machine machine(c, Pattern::Experiment1(16));
+  machine.Run();
+  const TelemetryStore& store = machine.telemetry()->store();
+  const int parked = store.ColumnIndex("machine.parked");
+  ASSERT_GE(parked, 0);
+  double max_parked = 0.0;
+  for (size_t row = 0; row < store.size(); ++row) {
+    max_parked =
+        std::max(max_parked, store.value(row, static_cast<size_t>(parked)));
+  }
+  EXPECT_GT(max_parked, 0.0);
 }
 
 // The ring store bounds memory: a tiny capacity keeps only the most recent

@@ -54,9 +54,6 @@ int main(int argc, char** argv) {
   flags.AddInt("low-k", 2, "LOW's conflict bound K");
   flags.AddInt("max-arrivals", 0, "stop arrivals after N transactions (0 = off)");
   flags.AddBool("verify", false, "check conflict-serializability at the end");
-  flags.AddString("timeline-csv", "",
-                  "sample system state every --timeline-ms into this CSV");
-  flags.AddDouble("timeline-ms", 10'000, "timeline sampling period (ms)");
   flags.AddString("dot-out", "",
                   "dump the scheduler's WTPG as Graphviz DOT to this file");
   flags.AddDouble("dot-at-ms", 100'000,
@@ -119,9 +116,6 @@ int main(int argc, char** argv) {
     config.run.tail_sketch = true;
   }
   ApplyFaultFlags(flags, &config.fault);
-  if (!flags.GetString("timeline-csv").empty()) {
-    config.run.timeline_sample_ms = flags.GetDouble("timeline-ms");
-  }
   if (flags.GetInt("trace-capacity") < 1) {
     std::fprintf(stderr, "--trace-capacity must be >= 1\n");
     return 2;
@@ -133,8 +127,7 @@ int main(int argc, char** argv) {
     config.run.trace_capacity =
         static_cast<uint64_t>(flags.GetInt("trace-capacity"));
   }
-  // Requesting a telemetry artifact without --telemetry-ms samples at the
-  // timeline default (10 s).
+  // A telemetry artifact requested without --telemetry-ms samples every 10 s.
   const std::string telemetry_csv = flags.GetString("telemetry-csv");
   const std::string telemetry_jsonl = flags.GetString("telemetry-jsonl");
   if (flags.GetDouble("telemetry-ms") > 0.0 || !telemetry_csv.empty() ||
@@ -171,17 +164,17 @@ int main(int argc, char** argv) {
 
   // Multi-seed aggregate mode: fan the replicas across workers and report
   // the cross-seed averages. The per-run artifacts below (trace, DOT
-  // snapshot, timeline, serializability log) are single-run concepts.
+  // snapshot, telemetry series, serializability log) are single-run
+  // concepts.
   const int num_seeds = static_cast<int>(flags.GetInt("seeds"));
   if (num_seeds > 1) {
     if (!trace_jsonl.empty() || !trace_chrome.empty() ||
-        !flags.GetString("dot-out").empty() ||
-        !flags.GetString("timeline-csv").empty() || !telemetry_csv.empty() ||
+        !flags.GetString("dot-out").empty() || !telemetry_csv.empty() ||
         !telemetry_jsonl.empty() || flags.GetBool("verify")) {
       std::fprintf(stderr,
                    "--seeds > 1 is incompatible with --trace-*/--dot-out/"
-                   "--timeline-csv/--telemetry-csv/--telemetry-jsonl/"
-                   "--verify (single-run outputs)\n");
+                   "--telemetry-csv/--telemetry-jsonl/--verify (single-run "
+                   "outputs)\n");
       return 2;
     }
     const AggregateResult agg =
@@ -229,11 +222,10 @@ int main(int argc, char** argv) {
   const RunStats stats = machine.Run();
 
   // Sampled gauge series ride along inside the trace files as counter
-  // tracks; legacy timeline-only runs (telemetry_sample_ms == 0) keep the
-  // trace byte-identical.
+  // tracks; runs without telemetry keep the trace byte-identical.
   std::vector<GaugeTrack> gauge_tracks;
   const std::vector<GaugeTrack>* gauges = nullptr;
-  if (machine.telemetry() != nullptr && config.run.telemetry_sample_ms > 0.0) {
+  if (machine.telemetry() != nullptr) {
     gauge_tracks = ToGaugeTracks(machine.telemetry()->store());
     gauges = &gauge_tracks;
   }
@@ -351,18 +343,6 @@ int main(int argc, char** argv) {
   std::printf("DPN utilization    mean %.1f%%, max %.1f%%\n",
               100.0 * stats.mean_dpn_utilization,
               100.0 * stats.max_dpn_utilization);
-
-  if (!flags.GetString("timeline-csv").empty()) {
-    const Status written =
-        machine.timeline().WriteCsv(flags.GetString("timeline-csv"));
-    if (!written.ok()) {
-      std::fprintf(stderr, "timeline: %s\n", written.ToString().c_str());
-      return 1;
-    }
-    std::printf("timeline           %s (%zu samples)\n",
-                flags.GetString("timeline-csv").c_str(),
-                machine.timeline().size());
-  }
 
   if (flags.GetBool("verify")) {
     const SerializabilityResult result =
