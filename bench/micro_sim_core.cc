@@ -13,6 +13,11 @@
 // CSV for per-PR tracking; --smoke shrinks the iteration counts to seconds
 // for the perf-labeled ctest target (also run under ASan, where absolute
 // numbers are meaningless but the workloads double as a stress test).
+//
+// Every run, smoke included, enforces a floor on the Experiment-1 C2PL row:
+// at least 5x the 28,371 events/s C2PL ran at before its deadlock
+// prediction was made cheap (the first BENCH_sim_core.json snapshot in
+// results/BENCH_trajectory.json). The floor is skipped under sanitizers.
 
 #include <algorithm>
 #include <chrono>
@@ -42,7 +47,23 @@
 
 using namespace wtpgsched;
 
+// Sanitizer builds run the same workloads but skip the wall-clock floor.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define WTPG_BENCH_SANITIZED 1
+#endif
+#if !defined(WTPG_BENCH_SANITIZED) && defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define WTPG_BENCH_SANITIZED 1
+#endif
+#endif
+#ifndef WTPG_BENCH_SANITIZED
+#define WTPG_BENCH_SANITIZED 0
+#endif
+
 namespace {
+
+// The C2PL floor is 5x this recorded baseline (see the file header).
+constexpr double kC2plBaselineEventsPerS = 28'371.0;
 
 // ---------------------------------------------------------------------------
 // The pre-rewrite event queue, embedded as the recorded baseline. Identical
@@ -395,7 +416,9 @@ int main(int argc, char** argv) {
                    "mops_per_s", "speedup_vs_legacy"});
 
   double schedule_pop_speedup = 0.0;
-  const int reps = smoke ? 1 : 5;
+  // Two in smoke: its C2PL floor row runs for a few ms, where one
+  // descheduling could sink a single measurement below the floor.
+  const int reps = smoke ? 2 : 5;
   for (const Spec& spec : specs) {
     const WorkloadResult legacy = Measure<LegacyEventQueue>(
         spec.name, "legacy", spec.legacy, spec.a, spec.b, reps);
@@ -432,10 +455,14 @@ int main(int argc, char** argv) {
                                       SchedulerKind::kC2pl,
                                       SchedulerKind::kGow, SchedulerKind::kLow};
   std::vector<EndToEndResult> e2e_rows;
+  double c2pl_events_per_s = 0.0;
   for (SchedulerKind kind : kKinds) {
     const SimConfig config = EndToEndConfig(kind, max_arrivals, horizon_ms);
     e2e_rows.push_back(RunEndToEnd(
         "exp1", config, Pattern::Experiment1(config.machine.num_files), reps));
+    if (kind == SchedulerKind::kC2pl) {
+      c2pl_events_per_s = e2e_rows.back().events_per_s;
+    }
   }
   // The same cap on the open-world mix: a Zipf universe of 1M files, of
   // which the run touches a small fraction. Tracks what per-file state
@@ -472,10 +499,19 @@ int main(int argc, char** argv) {
   }
   e2e_table.Print();
 
+  const double c2pl_floor = 5.0 * kC2plBaselineEventsPerS;
+  const bool sanitized = WTPG_BENCH_SANITIZED != 0;
+  const bool floor_ok = sanitized || c2pl_events_per_s >= c2pl_floor;
+  std::printf("c2pl: %.0f events/s (floor %.0f, baseline %.0f)%s\n",
+              c2pl_events_per_s, c2pl_floor, kC2plBaselineEventsPerS,
+              sanitized ? " [sanitized: floor not enforced]" : "");
+
   JsonWriter json;
   json.Add("bench", "sim_core")
       .Add("smoke", smoke)
       .Add("hardware_threads", ThreadPool::HardwareThreads())
+      .Add("sanitized", sanitized)
+      .Add("c2pl_floor_events_per_s", c2pl_floor)
       .Add("schedule_pop_speedup", schedule_pop_speedup)
       .AddRaw("queue", StrCat("[", queue_json, "]"))
       .AddRaw("end_to_end", StrCat("[", e2e_json, "]"));
@@ -493,5 +529,10 @@ int main(int argc, char** argv) {
   }
   std::printf("-> %s, %s\n", out_path.c_str(),
               flags.GetString("out-csv").c_str());
+  if (!floor_ok) {
+    std::fprintf(stderr, "FAIL: c2pl %.0f events/s below floor %.0f\n",
+                 c2pl_events_per_s, c2pl_floor);
+    return 1;
+  }
   return 0;
 }

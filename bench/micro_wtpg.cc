@@ -140,21 +140,19 @@ void BM_LowDecisionCopyReference(benchmark::State& state) {
 }
 BENCHMARK(BM_LowDecisionCopyReference)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
-void BM_WouldCycle(benchmark::State& state) {
+// C2PL's deadlock prediction: the requester's ancestor set, one reverse
+// DFS per call. The probe starts at the highest id, which RandomGraph's
+// ascending orientations give the most ancestors.
+void BM_AncestorsOf(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Wtpg g = RandomGraph(n, 0.2, 4);
-  TxnId grantee = 1;
-  std::vector<TxnId> targets;
-  for (const auto& [a, b] : g.UnorientedEdges()) {
-    grantee = a;
-    targets = {b};
-    break;
-  }
+  std::vector<TxnId> ancestors;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g.WouldCycle(grantee, targets));
+    g.AncestorsOf(n, &ancestors);
+    benchmark::DoNotOptimize(ancestors.data());
   }
 }
-BENCHMARK(BM_WouldCycle)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
+BENCHMARK(BM_AncestorsOf)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
 // Edge-table insert, find and erase around a hub node in the highest slot
 // that conflicts with every lower slot (C2PL's saturated graphs are full of

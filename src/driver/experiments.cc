@@ -83,7 +83,7 @@ BenchOptions GetBenchOptions() {
       EnvDouble("WTPG_RT_TOL", options.rt_tol_s, 0.0, kDoubleMax);
   // The horizon must convert to a positive SimTime without overflow.
   options.horizon_ms = EnvDouble("WTPG_HORIZON_MS", options.horizon_ms,
-                                 TimeToMs(1), TimeToMs(kSimTimeMax) / 2);
+                                 TimeToMs(1), kMaxDurationMs);
   options.jobs = EnvInt("WTPG_JOBS", options.jobs, 0, kIntMax);
   const char* dir = std::getenv("WTPG_CSV_DIR");
   if (dir != nullptr) options.csv_dir = dir;

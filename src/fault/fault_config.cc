@@ -1,10 +1,28 @@
 #include "fault/fault_config.h"
 
+#include <utility>
+
 #include "sim/time.h"
+#include "util/string_util.h"
 
 namespace wtpgsched {
 
 Status FaultConfig::Validate() const {
+  // Every *_ms field reaches the clock through MsToTime.
+  const std::pair<const char*, double> durations[] = {
+      {"dpn_mttf_ms", dpn_mttf_ms},
+      {"dpn_mttr_ms", dpn_mttr_ms},
+      {"straggler_mtbf_ms", straggler_mtbf_ms},
+      {"straggler_duration_ms", straggler_duration_ms},
+      {"backoff_base_ms", backoff_base_ms},
+      {"backoff_max_ms", backoff_max_ms}};
+  for (const auto& [name, ms] : durations) {
+    if (!DurationMsInRange(ms)) {
+      return Status::InvalidArgument(
+          StrCat(name, " must be finite and at most ", kMaxDurationMs,
+                 " ms in magnitude"));
+    }
+  }
   for (double v : {dpn_mttf_ms, straggler_mtbf_ms, abort_rate_per_s}) {
     if (v < 0.0) {
       return Status::InvalidArgument("fault rates must be >= 0");

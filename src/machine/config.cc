@@ -4,6 +4,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "util/json_reader.h"
 #include "util/json_writer.h"
@@ -82,6 +83,28 @@ Status SimConfig::Validate() const {
   if (machine.mpl < 1) return Status::InvalidArgument("mpl must be >= 1");
   if (workload.arrival_rate_tps <= 0.0) {
     return Status::InvalidArgument("arrival_rate_tps must be > 0");
+  }
+  // Every *_ms field reaches the clock through MsToTime.
+  const std::pair<const char*, double> durations[] = {
+      {"obj_time_ms", costs.obj_time_ms},
+      {"msg_time_ms", costs.msg_time_ms},
+      {"sot_time_ms", costs.sot_time_ms},
+      {"cot_time_ms", costs.cot_time_ms},
+      {"dd_time_ms", costs.dd_time_ms},
+      {"kwtpg_time_ms", costs.kwtpg_time_ms},
+      {"chain_time_ms", costs.chain_time_ms},
+      {"top_time_ms", costs.top_time_ms},
+      {"horizon_ms", run.horizon_ms},
+      {"warmup_ms", run.warmup_ms},
+      {"retry_fallback_ms", run.retry_fallback_ms},
+      {"restart_delay_ms", run.restart_delay_ms},
+      {"telemetry_sample_ms", run.telemetry_sample_ms}};
+  for (const auto& [name, ms] : durations) {
+    if (!DurationMsInRange(ms)) {
+      return Status::InvalidArgument(
+          StrCat(name, " must be finite and at most ", kMaxDurationMs,
+                 " ms in magnitude"));
+    }
   }
   if (costs.obj_time_ms <= 0.0) {
     return Status::InvalidArgument("obj_time_ms must be > 0");

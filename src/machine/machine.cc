@@ -245,7 +245,7 @@ RunStats Machine::Run() {
   if (trace_.enabled()) trace_.ExportCounters(&stats_.counters());
   // health.* counters exist only in telemetry runs, so a run without
   // sampling keeps its counter set — and its golden JSON — unchanged. The
-  // decision-path counters (retry-storm and cache visibility) share the
+  // decision-path counters (retry storms and graph evaluations) share the
   // gate, in fixed order ahead of the health set.
   if (telemetry_ != nullptr) {
     stats_.counters().Counter("sched.decision_retries") = decision_retries_;

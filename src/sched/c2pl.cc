@@ -1,5 +1,7 @@
 #include "sched/c2pl.h"
 
+#include <algorithm>
+
 #include "metrics/counters.h"
 #include "util/string_util.h"
 
@@ -43,15 +45,25 @@ Decision C2plScheduler::DecideLock(Transaction& txn, int step) {
     return Decision{DecisionKind::kBlock, file};
   }
   // Deadlock prediction: granting determines txn -> u for every pending
-  // conflicting declaration; that set of orientations creates a cycle iff
-  // some u already reaches txn in the precedence graph (any cycle through
-  // the new edges must close via a pre-existing u ~> txn path, since the
-  // new edges all leave txn). Cheap reachability instead of a graph clone —
-  // C2PL graphs grow large under saturation — and memoized across the
-  // retry storms those graphs cause (the verdict is monotone in the
-  // growth/shrink counters, see CycleCache).
-  PendingConflicters(file, txn.id(), mode, &conflicters_scratch_);
-  const bool cycle = CachedWouldCycle(txn.id(), conflicters_scratch_);
+  // conflicting declaration u, and those orientations close a cycle iff
+  // some such u already reaches txn (every new edge leaves txn, so a cycle
+  // must return over a pre-existing u ~> txn path). The test therefore runs
+  // from the requester's side: its ancestor set is small even when a
+  // saturated file has hundreds of pending conflicters, and each ancestor
+  // is one binary search in the file's TxnId-sorted pending list.
+  ++wtpg_evals_;
+  graph_.AncestorsOf(txn.id(), &ancestors_scratch_);
+  const std::vector<PendingAccess>& pending = PendingAccessors(file);
+  bool cycle = false;
+  for (TxnId a : ancestors_scratch_) {
+    const auto pos = std::lower_bound(
+        pending.begin(), pending.end(), a,
+        [](const PendingAccess& p, TxnId id) { return p.txn < id; });
+    if (pos != pending.end() && pos->txn == a && Conflicts(mode, pos->mode)) {
+      cycle = true;
+      break;
+    }
+  }
   if (tracing()) {
     trace_->Record({.time = trace_->now(),
                     .type = TraceEventType::kC2plPredict,

@@ -50,7 +50,7 @@ class C2plScheduler : public WtpgSchedulerBase {
   SimTime ddtime_;
   int mpl_;
   uint64_t predicted_deadlocks_ = 0;
-  std::vector<TxnId> conflicters_scratch_;  // DecideLock target list.
+  std::vector<TxnId> ancestors_scratch_;  // DecideLock's ancestor probe.
 };
 
 }  // namespace wtpgsched

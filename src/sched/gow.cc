@@ -87,38 +87,20 @@ Decision GowScheduler::DecideLock(Transaction& txn, int step) {
   // with W iff forcing the orientations it determines still achieves that
   // minimal critical path — i.e. *some* optimal order grants q (ties go to
   // the requester; delaying on an exact tie would starve symmetric
-  // workloads). Both optimizations are pure functions of the graph
-  // structure, the weights and the target set, so the pair is memoized
-  // under the (version, weights-epoch) fingerprint: retry storms replay the
-  // stored critical paths instead of re-running the O(N^2) DP twice.
-  double base_cp = 0.0;
-  double with_cp = 0.0;
-  const uint64_t version = graph_.version();
-  const uint64_t weights = graph_.weights_epoch();
-  const EvalCache::Entry* cached =
-      eval_cache_.Lookup(txn.id(), targets, version, weights);
-  if (cached != nullptr) {
-    base_cp = cached->value_a;
-    with_cp = cached->value_b;
-  } else {
-    ++wtpg_evals_;
-    StatusOr<ChainPlan> base = OptimizeChainOf(graph_, txn.id());
-    WTPG_CHECK(base.ok()) << base.status().ToString();
-    // Speculate the forced orientations in place (journal + rollback)
-    // instead of cloning the graph — this runs on every GOW lock decision.
-    Wtpg::OrientJournal journal;
-    WTPG_CHECK(graph_.OrientBatch(txn.id(), targets, &journal))
-        << "chain-form orientations cannot cycle once IsOriented was checked";
-    StatusOr<ChainPlan> with_grant = OptimizeChainOf(graph_, txn.id());
-    graph_.Rollback(&journal);
-    WTPG_CHECK(with_grant.ok()) << with_grant.status().ToString();
-    base_cp = base->critical_path;
-    with_cp = with_grant->critical_path;
-    EvalCache::Entry& e =
-        eval_cache_.Store(txn.id(), targets, version, weights);
-    e.value_a = base_cp;
-    e.value_b = with_cp;
-  }
+  // workloads).
+  ++wtpg_evals_;
+  StatusOr<ChainPlan> base = OptimizeChainOf(graph_, txn.id());
+  WTPG_CHECK(base.ok()) << base.status().ToString();
+  // Speculate the forced orientations in place (journal + rollback)
+  // instead of cloning the graph — this runs on every GOW lock decision.
+  Wtpg::OrientJournal journal;
+  WTPG_CHECK(graph_.OrientBatch(txn.id(), targets, &journal))
+      << "chain-form orientations cannot cycle once IsOriented was checked";
+  StatusOr<ChainPlan> with_grant = OptimizeChainOf(graph_, txn.id());
+  graph_.Rollback(&journal);
+  WTPG_CHECK(with_grant.ok()) << with_grant.status().ToString();
+  const double base_cp = base->critical_path;
+  const double with_cp = with_grant->critical_path;
   const bool suboptimal = with_cp > base_cp + 1e-9;
   if (tracing()) {
     // Optimized-order comparison: critical path of the best order without

@@ -72,9 +72,9 @@ Decision LowScheduler::DecideLock(Transaction& txn, int step) {
   // Phase2: E(q). Test the raw evaluation for deadlock (infinity) before
   // adding the penalty: isinf instead of a float equality, and the penalty
   // cannot push a finite sum into the infinity test (or an infinite penalty
-  // masquerade as a deadlock). The penalty also stays outside the memo —
-  // it reads live machine load the graph version cannot fingerprint.
-  const double eq_graph = CachedEvaluateGrant(txn.id(), competitors);
+  // masquerade as a deadlock).
+  ++wtpg_evals_;
+  const double eq_graph = EvaluateGrant(graph_, txn.id(), competitors);
   if (std::isinf(eq_graph)) {
     ++deadlock_delays_;
     if (tracing()) {
@@ -105,7 +105,8 @@ Decision LowScheduler::DecideLock(Transaction& txn, int step) {
     const Transaction* other = active_.at(u);
     const LockMode other_mode = other->lock_modes().at(file);
     PendingConflicters(file, u, other_mode, &cp_scratch_);
-    const double ep = CachedEvaluateGrant(u, cp_scratch_);
+    ++wtpg_evals_;
+    const double ep = EvaluateGrant(graph_, u, cp_scratch_);
     if (tracing()) {
       // Competitor evaluation: E(p) for p in C(q); arg = -1 marks it as a
       // competitor row of the preceding kLowEval.

@@ -157,19 +157,11 @@ void WtpgSchedulerBase::RegisterGauges(GaugeRegistry* gauges) const {
   gauges->Register("wtpg.edges", [this] {
     return static_cast<double>(graph_.num_edges());
   });
-  gauges->Register("cache.hit_rate", [this] {
-    const uint64_t total = cache_hits() + cache_misses();
-    return total == 0 ? 0.0
-                      : static_cast<double>(cache_hits()) /
-                            static_cast<double>(total);
-  });
 }
 
 void WtpgSchedulerBase::ExportDecisionCounters(
     CounterRegistry* registry) const {
   registry->Counter("wtpg.evals") += wtpg_evals_;
-  registry->Counter("cache.hits") += cache_hits();
-  registry->Counter("cache.misses") += cache_misses();
 }
 
 void WtpgSchedulerBase::OnStepCompleted(Transaction& txn, int step) {
@@ -189,8 +181,6 @@ void WtpgSchedulerBase::AfterCommit(Transaction& txn) {
     (void)mode;
     RemovePending(file, txn.id());
   }
-  eval_cache_.Erase(txn.id());
-  cycle_cache_.Erase(txn.id());
 }
 
 void WtpgSchedulerBase::AfterAbort(Transaction& txn) {
@@ -200,8 +190,6 @@ void WtpgSchedulerBase::AfterAbort(Transaction& txn) {
     (void)mode;
     RemovePending(file, txn.id());
   }
-  eval_cache_.Erase(txn.id());
-  cycle_cache_.Erase(txn.id());
 }
 
 void WtpgSchedulerBase::CompensateSparseRemoval(Transaction& txn) {
@@ -266,36 +254,6 @@ size_t WtpgSchedulerBase::CountPendingConflicters(FileId file, TxnId requester,
     return pending.items.size() - (own ? 1 : 0);
   }
   return static_cast<size_t>(pending.x_count) - (own_x ? 1 : 0);
-}
-
-double WtpgSchedulerBase::CachedEvaluateGrant(
-    TxnId txn, const std::vector<TxnId>& targets) {
-  const uint64_t version = graph_.version();
-  const uint64_t weights = graph_.weights_epoch();
-  if (const EvalCache::Entry* e =
-          eval_cache_.Lookup(txn, targets, version, weights)) {
-    return e->value_a;
-  }
-  ++wtpg_evals_;
-  // EvaluateGrant speculates and rolls back, so the pre-call version is
-  // also the post-call version the result stays valid under.
-  const double value = EvaluateGrant(graph_, txn, targets);
-  eval_cache_.Store(txn, targets, version, weights).value_a = value;
-  return value;
-}
-
-bool WtpgSchedulerBase::CachedWouldCycle(TxnId txn,
-                                         const std::vector<TxnId>& targets) {
-  const uint64_t growth = graph_.growth_version();
-  const uint64_t shrink = graph_.shrink_version();
-  if (const CycleCache::Entry* e =
-          cycle_cache_.Lookup(txn, targets, growth, shrink)) {
-    return e->cycle;
-  }
-  ++wtpg_evals_;
-  const bool cycle = graph_.WouldCycle(txn, targets);
-  cycle_cache_.Store(txn, targets, cycle, growth, shrink);
-  return cycle;
 }
 
 void WtpgSchedulerBase::OrientAfterGrant(Transaction& txn, FileId file,

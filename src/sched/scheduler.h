@@ -8,7 +8,6 @@
 #include "lock/lock_table.h"
 #include "model/transaction.h"
 #include "model/types.h"
-#include "sched/decision_cache.h"
 #include "sim/time.h"
 #include "telemetry/gauge_registry.h"
 #include "trace/trace_recorder.h"
@@ -162,10 +161,10 @@ class Scheduler {
     (void)registry;
   }
 
-  // Adds the decision-cache counters ("wtpg.evals", "cache.hits",
-  // "cache.misses") for schedulers that memoize graph evaluations. The
-  // machine exports these only on telemetry-enabled runs (same gate as the
-  // health counters) so historical aggregate JSON stays byte-identical.
+  // Adds the graph-evaluation counter ("wtpg.evals") for the schedulers
+  // that keep a WTPG. The machine exports it only on telemetry-enabled runs
+  // (same gate as the health counters) so historical aggregate JSON stays
+  // byte-identical.
   virtual void ExportDecisionCounters(CounterRegistry* registry) const {
     (void)registry;
   }
@@ -219,21 +218,17 @@ class WtpgSchedulerBase : public Scheduler {
 
   void OnStepCompleted(Transaction& txn, int step) override;
 
-  // Adds the precedence-graph size gauges shared by C2PL / GOW / LOW,
-  // including the decision-cache hit rate.
+  // Adds the precedence-graph size gauges shared by C2PL / GOW / LOW.
   void RegisterGauges(GaugeRegistry* gauges) const override;
 
   void ExportDecisionCounters(CounterRegistry* registry) const override;
 
-  // Decision-cache statistics (bench/micro_decision_cache reads these).
-  uint64_t cache_hits() const {
-    return eval_cache_.hits() + cycle_cache_.hits();
-  }
-  uint64_t cache_misses() const {
-    return eval_cache_.misses() + cycle_cache_.misses();
-  }
-  // Uncached graph evaluations actually executed (WouldCycle reachability
-  // probes, EvaluateGrant / chain-plan speculations).
+  // Always 0: no decision is memoized. Kept because the host benchmark
+  // (hostbench/hostbench.cc) still reads them for its hit-rate metrics.
+  uint64_t cache_hits() const { return 0; }
+  uint64_t cache_misses() const { return 0; }
+  // Graph evaluations executed: C2PL's ancestor probes, LOW's
+  // EvaluateGrant and GOW's chain-plan speculations.
   uint64_t wtpg_evals() const { return wtpg_evals_; }
 
  protected:
@@ -296,18 +291,7 @@ class WtpgSchedulerBase : public Scheduler {
   // The decision logic must have verified feasibility; failures are bugs.
   void OrientAfterGrant(Transaction& txn, FileId file, LockMode mode);
 
-  // E(txn | orient txn->targets) through the eval cache: identical value to
-  // EvaluateGrant(graph_, txn, targets), minus the speculation on a hit.
-  // Load-dependent terms (LOW-LB's GrantPenalty) must stay outside — they
-  // read live machine state the graph version cannot fingerprint.
-  double CachedEvaluateGrant(TxnId txn, const std::vector<TxnId>& targets);
-
-  // graph_.WouldCycle(txn, targets) through the monotone cycle cache.
-  bool CachedWouldCycle(TxnId txn, const std::vector<TxnId>& targets);
-
   Wtpg graph_;
-  EvalCache eval_cache_;
-  CycleCache cycle_cache_;
   uint64_t wtpg_evals_ = 0;
 
  private:

@@ -25,6 +25,18 @@ constexpr SimTime SecondsToTime(double s) { return MsToTime(s * 1000.0); }
 
 constexpr double TimeToMs(SimTime t) { return static_cast<double>(t) / 1000.0; }
 
+// The largest duration, in ms, that a config field may hold: half the
+// SimTime range, so a field's value added to any instant up to the horizon
+// stays in range.
+inline constexpr double kMaxDurationMs = TimeToMs(kSimTimeMax) / 2;
+
+// True when `ms` is finite and at most kMaxDurationMs in magnitude, so
+// MsToTime(ms) is defined (NaN fails both comparisons). Config validation
+// runs every *_ms field through it.
+constexpr bool DurationMsInRange(double ms) {
+  return ms >= -kMaxDurationMs && ms <= kMaxDurationMs;
+}
+
 constexpr double TimeToSeconds(SimTime t) {
   return static_cast<double>(t) / 1'000'000.0;
 }

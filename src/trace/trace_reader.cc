@@ -308,6 +308,14 @@ Status ReadJsonlTrace(const std::string& path, ParsedTrace* out) {
       return Status::InvalidArgument(
           StrCat(path, ":", line_no, ": ", es.message()));
     }
+    // A recorder stamps events with the simulated clock, so times start at
+    // 0 and never decrease. SummarizeTrace subtracts and sums them, which
+    // cannot overflow on such a stream.
+    if (e.time < 0 ||
+        (!out->events.empty() && e.time < out->events.back().time)) {
+      return Status::InvalidArgument(StrCat(path, ":", line_no, ": time ",
+                                            e.time, " out of order"));
+    }
     out->events.push_back(e);
   }
   if (!header_seen) {

@@ -38,6 +38,9 @@ struct ParsedTrace {
 // Parses one event line. Exposed for tests.
 StatusOr<TraceEvent> ParseEventJson(const std::string& line);
 
+// NotFound when `path` cannot be opened; InvalidArgument on a malformed
+// line, an unknown event type or key, or an event time that is negative or
+// earlier than the one before.
 Status ReadJsonlTrace(const std::string& path, ParsedTrace* out);
 
 }  // namespace wtpgsched

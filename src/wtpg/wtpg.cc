@@ -50,9 +50,7 @@ void Wtpg::AddNode(TxnId id, double remaining) {
   node.next_free = -1;
   node.dist_state = kDistInvalid;
   // neighbors/out/in/in_w were cleared on removal and keep their capacity;
-  // stale epoch marks can never equal a future epoch, and a stale probe
-  // cache can never match the bumped version.
-  BumpVersion();  // Adds a node, no directed paths: neither growth nor shrink.
+  // stale epoch marks can never equal a future epoch.
 }
 
 void Wtpg::AddConflictEdge(TxnId a, TxnId b, double weight_ab,
@@ -74,7 +72,6 @@ void Wtpg::AddConflictEdge(TxnId a, TxnId b, double weight_ab,
   }
   slots_[static_cast<size_t>(sa)].neighbors.push_back(sb);
   slots_[static_cast<size_t>(sb)].neighbors.push_back(sa);
-  BumpVersion();  // Unoriented edge: no directed paths added or removed.
 }
 
 void Wtpg::RemoveNode(TxnId id) {
@@ -105,8 +102,6 @@ void Wtpg::RemoveNode(TxnId id) {
   node.next_free = free_head_;
   free_head_ = slot;
   slot_of_.erase(id);
-  BumpVersion();
-  shrink_version_ = version_;  // Dropped edges can only remove paths.
 }
 
 void Wtpg::SetRemaining(TxnId id, double remaining) {
@@ -115,7 +110,6 @@ void Wtpg::SetRemaining(TxnId id, double remaining) {
   if (node.remaining == remaining) return;
   InvalidateDownstream(slot_of_.at(id));
   node.remaining = remaining;
-  ++weights_epoch_;  // Path lengths change, reachability does not.
 }
 
 double Wtpg::remaining(TxnId id) const {
@@ -210,11 +204,6 @@ Wtpg::Edge* Wtpg::EnsureEdgeForOrient(int32_t sa, int32_t sb) {
   }
   slots_[static_cast<size_t>(sa)].neighbors.push_back(sb);
   slots_[static_cast<size_t>(sb)].neighbors.push_back(sa);
-  // The bump happens *before* MarkOriented records its journal entry, so a
-  // rollback restores version_ to a value naming the graph with this edge
-  // already materialized (unoriented) — the ABA guarantee holds even though
-  // rollback does not un-materialize on-demand edges.
-  BumpVersion();
   return e;
 }
 
@@ -241,11 +230,7 @@ void Wtpg::MarkOriented(int32_t from, int32_t to, OrientJournal* journal) {
   f.out.push_back(to);
   t.in.push_back(from);
   t.in_w.push_back(f.id == e->a ? e->weight_ab : e->weight_ba);
-  if (journal != nullptr) {
-    journal->records_.push_back({f.id, t.id, version_, growth_version_});
-  }
-  BumpVersion();
-  growth_version_ = version_;  // A new precedence edge can only add paths.
+  if (journal != nullptr) journal->records_.push_back({f.id, t.id});
 }
 
 void Wtpg::UnmarkOriented(int32_t from, int32_t to) {
@@ -278,10 +263,6 @@ void Wtpg::InvalidateDownstream(int32_t v) {
 uint64_t Wtpg::MarkReachable(const int32_t* starts, size_t count, bool reverse,
                              std::vector<int32_t>* out) const {
   const uint64_t epoch = ++epoch_;
-  // Any reverse DFS may recycle mark_rev stamps that a cached probe relies
-  // on; track the latest so AncestorEpoch can tell (forward DFSes use
-  // mark_fwd and are harmless).
-  if (reverse) last_rev_epoch_ = epoch;
   if (out != nullptr) out->clear();
   dfs_stack_.clear();
   const auto visit = [&](int32_t slot) {
@@ -344,47 +325,19 @@ void Wtpg::ForceOrientSparse(TxnId from, TxnId to) {
   if (dist_valid_ > 0) InvalidateDownstream(st);
 }
 
-bool Wtpg::WouldCycle(TxnId from, const std::vector<TxnId>& targets) const {
-  if (targets.empty()) return false;
-  const int32_t sf = SlotOf(from);
-  // An edge oriented u -> from makes u a direct in-neighbor of `from`, so
-  // the ancestor marks also cover a pair already fixed the other way.
-  const uint64_t epoch = AncestorEpoch(sf);
-  for (TxnId u : targets) {
-    if (u == from) return true;
-    if (slots_[static_cast<size_t>(SlotOf(u))].mark_rev == epoch) {
-      return true;  // u ~> from.
-    }
-  }
-  return false;
-}
-
-uint64_t Wtpg::AncestorEpoch(int32_t sf) const {
-  const Node& node = slots_[static_cast<size_t>(sf)];
-  if (node.probe_rev_epoch != 0 && node.probe_rev_epoch == last_rev_epoch_ &&
-      node.probe_rev_version == version_) {
-    return node.probe_rev_epoch;
-  }
-  const uint64_t epoch = MarkReachable(&sf, 1, /*reverse=*/true, nullptr);
-  node.probe_rev_epoch = epoch;
-  node.probe_rev_version = version_;
-  return epoch;
-}
-
 bool Wtpg::OrientBatchImpl(TxnId from, const std::vector<TxnId>& targets,
                            OrientJournal* journal) {
   if (targets.empty()) return true;
   const int32_t sf = SlotOf(from);
   // Every new edge leaves `from`, so any cycle the batch could close must
   // run over a pre-existing path back into `from`: one ancestor probe
-  // (cached across a WouldCycle immediately preceding this batch) checks
-  // all targets. Validation and marking run in one merged pass: marking
-  // from -> u cannot change ancestors(from) (a path into `from` through a
-  // new edge would first have to reach `from`), so later targets test
-  // against marks that are still exact. On failure the graph is left
+  // checks all targets. Validation and marking run in one merged pass:
+  // marking from -> u cannot change ancestors(from) (a path into `from`
+  // through a new edge would first have to reach `from`), so later targets
+  // test against marks that are still exact. On failure the graph is left
   // partially oriented — journal callers roll back, and the no-journal
   // callers treat failure as fatal (see the header contract).
-  const uint64_t a_epoch = AncestorEpoch(sf);
+  const uint64_t a_epoch = MarkReachable(&sf, 1, /*reverse=*/true, nullptr);
   bool any_new = false;
   new_targets_scratch_.clear();
   for (TxnId u : targets) {
@@ -478,23 +431,10 @@ void Wtpg::RollbackToMark(OrientJournal* journal, size_t mark) {
       ClearDist(slots_[static_cast<size_t>(d)]);
     }
   }
-  if (records.size() > mark) {
-    // Unmarking removes paths: allocate a fresh shrink version (a cached
-    // "path exists" fact may have used a speculative edge). version_ and
-    // growth_version_ are *restored* to the values saved before the first
-    // record being undone — the rolled-back graph is byte-identical to that
-    // state, and the allocator never reuses values, so the restored version
-    // still names exactly one structure.
-    const uint64_t saved_version = records[mark].saved_version;
-    const uint64_t saved_growth = records[mark].saved_growth;
-    shrink_version_ = ++version_seq_;
-    while (records.size() > mark) {
-      const OrientJournal::Record r = records.back();
-      records.pop_back();
-      UnmarkOriented(SlotOf(r.from), SlotOf(r.to));
-    }
-    version_ = saved_version;
-    growth_version_ = saved_growth;
+  while (records.size() > mark) {
+    const OrientJournal::Record r = records.back();
+    records.pop_back();
+    UnmarkOriented(SlotOf(r.from), SlotOf(r.to));
   }
 }
 

@@ -47,34 +47,15 @@ inline constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
 // The differential suites check every decision path against a naive
 // clone-and-discard oracle (tests/wtpg/reference_wtpg.h).
 //
-// Version counters (the decision-cache contract, DESIGN.md section 12):
-// version() changes on every structural mutation — node add/remove, edge
-// add, orientation — and is *restored* by journal rollback, so a
-// speculative OrientBatch + Rollback pair nets to no change. Values come
-// from a monotone allocator that is never rewound, so a version value
-// observed twice refers to byte-identical graph structure (no ABA across
-// speculation). Two derived counters support monotone invalidation:
-// growth_version() changes only on mutations that can add directed paths
-// (orientations), shrink_version() only on mutations that can remove them
-// (node removal, journal rollback). A cached "no path/cycle" fact stays
-// valid while growth_version() is unchanged; a cached "path/cycle exists"
-// fact stays valid while shrink_version() is unchanged. weights_epoch()
-// tracks SetRemaining, which changes path lengths but not reachability.
-//
-// The decision hot paths (WouldCycle, OrientBatch closure) additionally
-// keep a per-slot cached reverse-reachability epoch: repeated ancestor
-// probes from the same slot reuse one BFS until the version bumps or
-// another reverse probe recycles the shared mark space.
-//
 // Sparse precedence mode (SetSparsePrecedence) is for clients whose only
-// graph reads are reachability facts — C2PL's WouldCycle probes. It drops
+// graph reads are reachability facts — C2PL's ancestor probes. It drops
 // the two pieces of state such clients cannot observe: conflict edges are
 // not pre-materialized (AddConflictEdge is never called; OrientBatch
 // creates the edge on demand, with zero weights, the first time a pair is
 // oriented) and the forced transitive closure is skipped. Neither changes
 // the reachability relation — a closure-forced edge x -> y exists only
 // where a directed path x ~> y already runs, and an unoriented conflict
-// edge carries no direction — so every WouldCycle / HasPath / OrientBatch
+// edge carries no direction — so every AncestorsOf / HasPath / OrientBatch
 // verdict is identical to the dense graph's, while a saturated C2PL run
 // stops paying for millions of conflict-edge insertions, forced closure
 // marks and commit-time teardowns it never reads. Weighted queries
@@ -125,10 +106,6 @@ class Wtpg {
     struct Record {
       TxnId from;
       TxnId to;
-      // Version state before this mark, restored on rollback so a
-      // speculative batch nets to no version change.
-      uint64_t saved_version;
-      uint64_t saved_growth;
     };
     std::vector<Record> records_;
   };
@@ -142,13 +119,6 @@ class Wtpg {
   // Must be called before any node is added.
   void SetSparsePrecedence();
   bool sparse_precedence() const { return sparse_precedence_; }
-
-  // --- Version counters (see the class comment for the contract) ---
-
-  uint64_t version() const { return version_; }
-  uint64_t growth_version() const { return growth_version_; }
-  uint64_t shrink_version() const { return shrink_version_; }
-  uint64_t weights_epoch() const { return weights_epoch_; }
 
   // --- Structure ---
 
@@ -221,8 +191,9 @@ class Wtpg {
   bool HasPath(TxnId from, TxnId to) const;
 
   // All nodes with a directed path to / from `id` over oriented edges,
-  // excluding `id` itself, in DFS discovery order. Used by sparse-mode
-  // removal compensation (see WtpgSchedulerBase) and tests.
+  // excluding `id` itself, in DFS discovery order. Used by C2PL's deadlock
+  // prediction, sparse-mode removal compensation (see WtpgSchedulerBase)
+  // and tests.
   void AncestorsOf(TxnId id, std::vector<TxnId>* out) const;
   void DescendantsOf(TxnId id, std::vector<TxnId>* out) const;
 
@@ -231,12 +202,6 @@ class Wtpg {
   // probe, no closure. A no-op if already oriented from -> to; CHECK-fails
   // if oriented to -> from (the caller asserts the order is determined).
   void ForceOrientSparse(TxnId from, TxnId to);
-
-  // True if orienting from -> target for every target would create a cycle,
-  // i.e. some target already reaches `from`. (Any cycle through the new
-  // edges must close over a pre-existing path back into `from`, since all
-  // new edges leave `from`.) Non-mutating and clone-free.
-  bool WouldCycle(TxnId from, const std::vector<TxnId>& targets) const;
 
   // --- Queries ---
 
@@ -295,12 +260,6 @@ class Wtpg {
     // memoized longest-path distance. Mutable: queries are logically const.
     mutable uint64_t mark_fwd = 0;
     mutable uint64_t mark_rev = 0;
-    // Cached reverse-reachability probe: the ancestor set of this slot is
-    // still stamped as mark_rev == probe_rev_epoch, valid while the graph
-    // version is probe_rev_version and no other reverse probe has recycled
-    // the shared mark_rev space since (probe_rev_epoch == last_rev_epoch_).
-    mutable uint64_t probe_rev_epoch = 0;
-    mutable uint64_t probe_rev_version = 0;
     mutable double dist = 0.0;
     mutable uint8_t dist_state = kDistInvalid;
   };
@@ -340,7 +299,7 @@ class Wtpg {
   // Inserts an (empty) edge for the slot pair; CHECK-fails on duplicates.
   Edge* InsertEdge(int32_t sa, int32_t sb);
   // Sparse-mode on-demand edge: returns the (sa, sb) edge, materializing an
-  // unoriented zero-weight one — with its version bump — when absent.
+  // unoriented zero-weight one when absent.
   // Outside sparse mode the edge must already exist.
   Edge* EnsureEdgeForOrient(int32_t sa, int32_t sb);
   void EraseEdge(int32_t sa, int32_t sb);
@@ -363,13 +322,6 @@ class Wtpg {
   // to *journal (when non-null) so the caller can undo them.
   bool OrientBatchImpl(TxnId from, const std::vector<TxnId>& targets,
                        OrientJournal* journal);
-
-  // Epoch whose reverse marks identify ancestors(sf) (including sf), via
-  // the per-slot probe cache when still valid, else a fresh reverse DFS.
-  uint64_t AncestorEpoch(int32_t sf) const;
-
-  // Allocates a fresh version value for a structural mutation.
-  void BumpVersion() { version_ = ++version_seq_; }
 
   // Undoes journal records down to (excluding) index `mark`, in reverse.
   void RollbackToMark(OrientJournal* journal, size_t mark);
@@ -406,21 +358,10 @@ class Wtpg {
   std::vector<EdgeBucket> edge_buckets_;  // Power-of-two sized; may be empty.
   size_t num_edges_ = 0;
   bool sparse_precedence_ = false;
-  // Version counters (see the class comment). version_seq_ is the
-  // never-rewound allocator behind them; rollback restores version_ /
-  // growth_version_ from the journal but never reuses an allocated value.
-  uint64_t version_seq_ = 0;
-  uint64_t version_ = 0;
-  uint64_t growth_version_ = 0;
-  uint64_t shrink_version_ = 0;
-  uint64_t weights_epoch_ = 0;
   // Epoch source for MarkReachable and count of nodes whose memoized
   // distance is currently valid (fast empty test for invalidation).
   mutable uint64_t epoch_ = 0;
   mutable size_t dist_valid_ = 0;
-  // Epoch of the most recent *reverse* MarkReachable: the guard that a
-  // cached probe's marks have not been recycled by another reverse DFS.
-  mutable uint64_t last_rev_epoch_ = 0;
   // Reused scratch (never live across a public call): the DFS stack, the
   // visited list handed to MarkReachable, rollback's head collection, and
   // the newly-oriented target slots of one OrientBatchImpl call.

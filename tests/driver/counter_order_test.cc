@@ -39,17 +39,14 @@ TEST(CounterOrderTest, FaultAndHealthCountersJobsInvariant) {
   EXPECT_EQ(serial, parallel3);
   EXPECT_NE(serial.find("counters.health.thrashing"), std::string::npos);
   EXPECT_NE(serial.find("counters.fault."), std::string::npos);
-  // Decision-cache observability (telemetry-gated, like the families
+  // Decision-path observability (telemetry-gated, like the families
   // above): the machine-side retry/shortcut counters and the scheduler's
-  // graph-evaluation / cache-outcome counters must ride the same
-  // deterministic ordering.
+  // graph-evaluation counter must ride the same deterministic ordering.
   EXPECT_NE(serial.find("counters.sched.decision_retries"),
             std::string::npos);
   EXPECT_NE(serial.find("counters.sched.block_shortcuts"),
             std::string::npos);
   EXPECT_NE(serial.find("counters.wtpg.evals"), std::string::npos);
-  EXPECT_NE(serial.find("counters.cache.hits"), std::string::npos);
-  EXPECT_NE(serial.find("counters.cache.misses"), std::string::npos);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // the saturation knee, where the parked admission pool grows to hundreds of
 // transactions and every commit re-decides it. The kernel goldens stop at 60
 // arrivals and never reach that regime. Each case pins the RunStats JSON
-// (with telemetry on, so the decision-retry and cache counters are part of
-// it) plus FNV-1a digests of the exported trace JSONL and telemetry CSV,
+// (with telemetry on, so the decision-retry and graph-evaluation counters
+// are part of it) plus FNV-1a digests of the exported trace JSONL and telemetry CSV,
 // with faults off and on.
 //
 // Regenerate (only when an *intentional* behavior change lands) with:

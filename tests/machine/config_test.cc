@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <utility>
 
 namespace wtpgsched {
 namespace {
@@ -113,6 +115,86 @@ TEST(ConfigTest, RejectsAbortRatesAboveOnePerTick) {
   c.fault.abort_rate_per_s = 1e12;
   EXPECT_FALSE(c.Validate().ok());
   c.fault.abort_rate_per_s = 1e6;
+  EXPECT_TRUE(c.Validate().ok());
+}
+
+// Durations outside the range a run's clock can take. Every *_ms field
+// must reject each with a status naming the field; NaN passes every
+// ordered comparison, so no other check catches it.
+constexpr double kUnconvertibleMs[] = {
+    1e300, -1e300, kMaxDurationMs * 2, std::numeric_limits<double>::infinity(),
+    std::numeric_limits<double>::quiet_NaN()};
+
+void ExpectRejectedNaming(const SimConfig& c, const std::string& name,
+                          double ms) {
+  const Status status = c.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name << "=" << ms;
+  EXPECT_NE(status.message().find(name), std::string::npos)
+      << name << "=" << ms << ": " << status.message();
+}
+
+TEST(ConfigTest, RejectsCostsBeyondTheClockRange) {
+  const std::pair<const char*, double CostSection::*> fields[] = {
+      {"obj_time_ms", &CostSection::obj_time_ms},
+      {"msg_time_ms", &CostSection::msg_time_ms},
+      {"sot_time_ms", &CostSection::sot_time_ms},
+      {"cot_time_ms", &CostSection::cot_time_ms},
+      {"dd_time_ms", &CostSection::dd_time_ms},
+      {"kwtpg_time_ms", &CostSection::kwtpg_time_ms},
+      {"chain_time_ms", &CostSection::chain_time_ms},
+      {"top_time_ms", &CostSection::top_time_ms}};
+  for (const auto& [name, field] : fields) {
+    for (double ms : kUnconvertibleMs) {
+      SimConfig c;
+      c.costs.*field = ms;
+      ExpectRejectedNaming(c, name, ms);
+    }
+    SimConfig c;
+    c.costs.*field = kMaxDurationMs;
+    EXPECT_TRUE(c.Validate().ok()) << name;
+  }
+}
+
+TEST(ConfigTest, RejectsRunDurationsBeyondTheClockRange) {
+  const std::pair<const char*, double RunSection::*> fields[] = {
+      {"horizon_ms", &RunSection::horizon_ms},
+      {"warmup_ms", &RunSection::warmup_ms},
+      {"retry_fallback_ms", &RunSection::retry_fallback_ms},
+      {"restart_delay_ms", &RunSection::restart_delay_ms},
+      {"telemetry_sample_ms", &RunSection::telemetry_sample_ms}};
+  for (const auto& [name, field] : fields) {
+    for (double ms : kUnconvertibleMs) {
+      SimConfig c;
+      c.run.*field = ms;
+      ExpectRejectedNaming(c, name, ms);
+    }
+  }
+  SimConfig c;
+  c.run.horizon_ms = kMaxDurationMs;
+  c.run.warmup_ms = kMaxDurationMs / 2;
+  c.run.retry_fallback_ms = kMaxDurationMs;
+  c.run.restart_delay_ms = kMaxDurationMs;
+  c.run.telemetry_sample_ms = kMaxDurationMs;
+  EXPECT_TRUE(c.Validate().ok());
+}
+
+TEST(ConfigTest, RejectsFaultDurationsBeyondTheClockRange) {
+  const std::pair<const char*, double FaultConfig::*> fields[] = {
+      {"dpn_mttf_ms", &FaultConfig::dpn_mttf_ms},
+      {"dpn_mttr_ms", &FaultConfig::dpn_mttr_ms},
+      {"straggler_mtbf_ms", &FaultConfig::straggler_mtbf_ms},
+      {"straggler_duration_ms", &FaultConfig::straggler_duration_ms},
+      {"backoff_base_ms", &FaultConfig::backoff_base_ms},
+      {"backoff_max_ms", &FaultConfig::backoff_max_ms}};
+  for (const auto& [name, field] : fields) {
+    for (double ms : kUnconvertibleMs) {
+      SimConfig c;
+      c.fault.*field = ms;
+      ExpectRejectedNaming(c, name, ms);
+    }
+  }
+  SimConfig c;
+  for (const auto& [name, field] : fields) c.fault.*field = kMaxDurationMs;
   EXPECT_TRUE(c.Validate().ok());
 }
 

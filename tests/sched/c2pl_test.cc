@@ -1,11 +1,24 @@
 #include "sched/c2pl.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "test_txns.h"
 
 namespace wtpgsched {
 namespace {
+
+// Transaction whose steps lock the given files in the given modes, in order.
+Transaction MakeModeTxn(TxnId id,
+                        std::vector<std::pair<FileId, LockMode>> plan) {
+  std::vector<StepSpec> steps;
+  for (const auto& [file, mode] : plan) {
+    steps.push_back({file, mode, mode, 1.0, 1.0});
+  }
+  return Transaction(id, std::move(steps));
+}
 
 TEST(C2plTest, NameReflectsMpl) {
   EXPECT_EQ(C2plScheduler(0).name(), "C2PL");
@@ -75,6 +88,61 @@ TEST(C2plTest, TransitiveDeadlockPrediction) {
   EXPECT_EQ(sched.OnLockRequest(t3, 1).kind, DecisionKind::kDelay);
   // But T1 asking for 9 is fine.
   EXPECT_EQ(sched.OnLockRequest(t1, 1).kind, DecisionKind::kGrant);
+}
+
+TEST(C2plTest, AncestorPendingExclusiveDelaysSharedAndExclusive) {
+  // T1 takes file 0 ahead of T2 and T3, so T1 precedes both; T1 still
+  // declares X on file 5. Either request for file 5 would determine
+  // requester -> T1 and close a cycle, whatever mode it asks for.
+  constexpr LockMode kS = LockMode::kShared;
+  constexpr LockMode kX = LockMode::kExclusive;
+  C2plScheduler sched(0);
+  Transaction t1 = MakeModeTxn(1, {{0, kX}, {5, kX}});
+  Transaction t2 = MakeModeTxn(2, {{5, kS}, {0, kX}});
+  Transaction t3 = MakeModeTxn(3, {{5, kX}, {0, kX}});
+  sched.OnStartup(t1);
+  sched.OnStartup(t2);
+  sched.OnStartup(t3);
+  ASSERT_EQ(sched.OnLockRequest(t1, 0).kind, DecisionKind::kGrant);
+  ASSERT_TRUE(sched.graph().IsOriented(1, 2));
+  ASSERT_TRUE(sched.graph().IsOriented(1, 3));
+  EXPECT_EQ(sched.OnLockRequest(t2, 0).kind, DecisionKind::kDelay);
+  EXPECT_EQ(sched.OnLockRequest(t3, 0).kind, DecisionKind::kDelay);
+  EXPECT_EQ(sched.predicted_deadlocks(), 2u);
+}
+
+TEST(C2plTest, AncestorPendingSharedDoesNotDelaySharedRequest) {
+  // T1 precedes T2 and declares S on file 5: an S request by T2 determines
+  // no order against T1, so it is granted.
+  constexpr LockMode kS = LockMode::kShared;
+  constexpr LockMode kX = LockMode::kExclusive;
+  C2plScheduler sched(0);
+  Transaction t1 = MakeModeTxn(1, {{0, kX}, {5, kS}});
+  Transaction t2 = MakeModeTxn(2, {{5, kS}, {0, kX}});
+  sched.OnStartup(t1);
+  sched.OnStartup(t2);
+  ASSERT_EQ(sched.OnLockRequest(t1, 0).kind, DecisionKind::kGrant);
+  ASSERT_TRUE(sched.graph().IsOriented(1, 2));
+  EXPECT_EQ(sched.OnLockRequest(t2, 0).kind, DecisionKind::kGrant);
+  EXPECT_EQ(sched.predicted_deadlocks(), 0u);
+}
+
+TEST(C2plTest, NonAncestorPendingConflicterDoesNotDelay) {
+  // T2's only ancestor is T1, which does not declare file 5; T3's X
+  // declaration on file 5 conflicts but T3 does not reach T2, so the grant
+  // just orders T2 before T3.
+  C2plScheduler sched(0);
+  Transaction t1 = MakeXTxn(1, {0});
+  Transaction t2 = MakeXTxn(2, {5, 0});
+  Transaction t3 = MakeXTxn(3, {5});
+  sched.OnStartup(t1);
+  sched.OnStartup(t2);
+  sched.OnStartup(t3);
+  ASSERT_EQ(sched.OnLockRequest(t1, 0).kind, DecisionKind::kGrant);
+  ASSERT_TRUE(sched.graph().IsOriented(1, 2));
+  EXPECT_EQ(sched.OnLockRequest(t2, 0).kind, DecisionKind::kGrant);
+  EXPECT_TRUE(sched.graph().IsOriented(2, 3));
+  EXPECT_EQ(sched.predicted_deadlocks(), 0u);
 }
 
 TEST(C2plTest, MplLimitsAdmission) {

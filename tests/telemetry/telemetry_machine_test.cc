@@ -24,15 +24,11 @@ SimConfig BaseConfig(SchedulerKind kind) {
 
 // Counter list without the observation-only entries a telemetry run
 // appends: the health.* detectors plus the decision-path counters
-// (retry-storm and cache visibility) that share the same gate.
+// (retry storms and graph evaluations) that share the same gate.
 std::vector<std::pair<std::string, uint64_t>> SansHealth(
     const std::vector<std::pair<std::string, uint64_t>>& counters) {
-  const char* observation_only[] = {"health.",
-                                    "sched.decision_retries",
-                                    "sched.block_shortcuts",
-                                    "wtpg.evals",
-                                    "cache.hits",
-                                    "cache.misses"};
+  const char* observation_only[] = {"health.", "sched.decision_retries",
+                                    "sched.block_shortcuts", "wtpg.evals"};
   std::vector<std::pair<std::string, uint64_t>> out;
   for (const auto& entry : counters) {
     bool skip = false;

@@ -18,7 +18,7 @@ namespace wtpgsched {
 // loop, every orientation works on a clone that is kept only on success,
 // and CriticalPath is a fresh longest-path DP per call. Sparse precedence
 // mode skips the closure and materializes conflict edges on demand, as in
-// production. No version counters: wtpg_version_test pins those.
+// production.
 class ReferenceWtpg {
  public:
   // Must be called on an empty graph.

@@ -1,5 +1,8 @@
 #include "wtpg/wtpg.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace wtpgsched {
@@ -171,7 +174,7 @@ TEST(WtpgTest, RemoveNodeDropsEdges) {
   EXPECT_TRUE(g.CheckInvariants());
 }
 
-TEST(WtpgTest, WouldCycleDetectsReverseReachability) {
+TEST(WtpgTest, AncestorsOfFollowsReverseReachability) {
   Wtpg g;
   for (TxnId id : {1, 2, 3}) g.AddNode(id, 0.0);
   g.AddConflictEdge(1, 2, 1.0, 1.0);
@@ -179,9 +182,14 @@ TEST(WtpgTest, WouldCycleDetectsReverseReachability) {
   g.AddConflictEdge(1, 3, 1.0, 1.0);
   g.TryOrient(1, 2);
   g.TryOrient(2, 3);
-  EXPECT_TRUE(g.WouldCycle(3, {1}));
-  EXPECT_FALSE(g.WouldCycle(1, {3}));
-  EXPECT_FALSE(g.WouldCycle(1, {}));
+  std::vector<TxnId> ancestors;
+  g.AncestorsOf(3, &ancestors);
+  std::sort(ancestors.begin(), ancestors.end());
+  EXPECT_EQ(ancestors, (std::vector<TxnId>{1, 2}));
+  g.AncestorsOf(2, &ancestors);
+  EXPECT_EQ(ancestors, std::vector<TxnId>{1});
+  g.AncestorsOf(1, &ancestors);
+  EXPECT_TRUE(ancestors.empty());
 }
 
 TEST(WtpgTest, OrientBatchOrientsAllTargets) {
