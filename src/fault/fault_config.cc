@@ -1,5 +1,6 @@
 #include "fault/fault_config.h"
 
+#include <cmath>
 #include <utility>
 
 #include "sim/time.h"
@@ -23,14 +24,25 @@ Status FaultConfig::Validate() const {
                  " ms in magnitude"));
     }
   }
+  // NaN passes every ordered comparison below, and an infinite factor or
+  // rate overflows the arithmetic it feeds.
+  const std::pair<const char*, double> others[] = {
+      {"straggler_factor", straggler_factor},
+      {"abort_rate_per_s", abort_rate_per_s},
+      {"backoff_jitter", backoff_jitter}};
+  for (const auto& [name, v] : others) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument(StrCat(name, " must be finite"));
+    }
+  }
   for (double v : {dpn_mttf_ms, straggler_mtbf_ms, abort_rate_per_s}) {
     if (v < 0.0) {
       return Status::InvalidArgument("fault rates must be >= 0");
     }
   }
-  // FaultPlan::Compile steps each schedule forward by draws around these
-  // means until the horizon: a mean below the clock tick rounds to zero
-  // and the schedule grows without end.
+  // Each source steps forward by draws around these means until the
+  // horizon: below the clock tick most draws round to zero ticks, and the
+  // source fires again and again at one instant.
   if (dpn_mttf_ms > 0.0) {
     if (dpn_mttf_ms < kTickMs) {
       return Status::InvalidArgument(

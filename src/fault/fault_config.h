@@ -6,14 +6,14 @@
 namespace wtpgsched {
 
 // The `fault` section of SimConfig: a declarative description of the node
-// churn a run should suffer. All rates default to zero, which compiles to
-// an empty FaultPlan — a zero-fault run is byte-identical to a build
-// without the fault layer (the differential suite asserts this).
+// churn a run should suffer. All rates default to zero, which starts no
+// fault source — a zero-fault run is byte-identical to a build without the
+// fault layer (the differential suite asserts this).
 //
-// Every stochastic draw behind the plan comes from a dedicated RNG stream
-// derived from the replica's seed (see FaultPlan::Compile), so the fault
-// schedule never perturbs arrival or pattern draws, and identical seeds
-// give bit-identical schedules at any --jobs value.
+// Each source draws its events one at a time from its own RNG stream,
+// forked from the replica's seed (see Machine::StartFaultSources), so the
+// fault schedule never perturbs arrival or pattern draws, and identical
+// seeds give bit-identical schedules at any --jobs value.
 struct FaultConfig {
   // --- DPN crash / repair ---
   // Mean time to failure per data-processing node, exponential (0 = no
@@ -39,9 +39,9 @@ struct FaultConfig {
 
   // --- Spontaneous aborts ---
   // Poisson rate (events per simulated second) of abort injections. Each
-  // injection carries a pre-drawn uniform pick that selects one eligible
-  // active transaction (deterministic given the simulation state); if no
-  // transaction is eligible the injection is a no-op.
+  // injection draws a uniform pick from the source's stream that selects
+  // one eligible active transaction (deterministic given the simulation
+  // state); if no transaction is eligible the injection is a no-op.
   double abort_rate_per_s = 0.0;
 
   // --- Restart backoff ---
@@ -53,8 +53,8 @@ struct FaultConfig {
   double backoff_max_ms = 60'000.0;
   double backoff_jitter = 0.2;
 
-  // True when any fault source is configured; false means the compiled
-  // plan is empty and the run is byte-identical to a fault-free build.
+  // True when any fault source is configured; false means no source starts
+  // and the run is byte-identical to a fault-free build.
   bool enabled() const {
     return dpn_mttf_ms > 0.0 || straggler_mtbf_ms > 0.0 ||
            abort_rate_per_s > 0.0;

@@ -106,6 +106,19 @@ Status SimConfig::Validate() const {
                  " ms in magnitude"));
     }
   }
+  // NaN passes every ordered comparison below, and infinity overflows the
+  // arithmetic these fields feed.
+  const std::pair<const char*, double> others[] = {
+      {"arrival_rate_tps", workload.arrival_rate_tps},
+      {"error_sigma", workload.error_sigma},
+      {"zipf_theta", workload.zipf_theta},
+      {"quantum_objects", machine.quantum_objects},
+      {"low_lb_weight", low_lb_weight}};
+  for (const auto& [name, v] : others) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument(StrCat(name, " must be finite"));
+    }
+  }
   if (costs.obj_time_ms <= 0.0) {
     return Status::InvalidArgument("obj_time_ms must be > 0");
   }

@@ -13,6 +13,10 @@ namespace wtpgsched {
 
 namespace {
 
+// Salt separating the fault-source streams from the workload streams, which
+// are seeded directly from the replica seed. Arbitrary odd 64-bit constant.
+constexpr uint64_t kFaultSeedSalt = 0x9e3779b97f4a7c15ull;
+
 // workload.zipf_theta overlays Zipf skew onto whatever pattern (or mix) the
 // caller supplied. theta == 0 returns the input untouched — including its
 // zero ZipfSampler state — so unskewed configs stay byte-identical.
@@ -62,6 +66,7 @@ Machine::Machine(const SimConfig& config, WorkloadGenerator workload,
       stats_(config.warmup(), config.horizon(),
              TailOptions{config.run.tail_metrics, config.run.tail_sketch}),
       faults_enabled_(config.fault.enabled()),
+      abort_rng_(0),
       fault_rng_(config.run.seed ^ 0xda3e39cb94b95bdbull) {
   const Status valid = config.Validate();
   WTPG_CHECK(valid.ok()) << valid.ToString();
@@ -216,15 +221,7 @@ Transaction& Machine::GetTxn(TxnId id) {
 RunStats Machine::Run() {
   WTPG_CHECK(!ran_) << "Machine::Run() called twice";
   ran_ = true;
-  if (faults_enabled_) {
-    fault_plan_ = FaultPlan::Compile(config_.fault, config_.machine.num_nodes,
-                                     config_.horizon(), config_.run.seed);
-    // The whole schedule goes into the event queue up front: fault timing
-    // never depends on what the workload does, only on the seed.
-    for (const FaultEvent& event : fault_plan_.events()) {
-      sim_.ScheduleAt(event.time, [this, event] { OnFaultEvent(event); });
-    }
-  }
+  if (faults_enabled_) StartFaultSources();
   ScheduleNextArrival();
   ScheduleTelemetrySample();
   sim_.RunUntil(config_.horizon());
@@ -648,56 +645,61 @@ uint64_t& Machine::FaultCounter(const char* name) {
   return stats_.counters().Counter(name);
 }
 
-void Machine::OnFaultEvent(const FaultEvent& event) {
-  trace_.set_now(sim_.Now());
-  switch (event.kind) {
-    case FaultEventKind::kDpnCrash:
-      OnDpnCrash(event.node);
-      break;
-    case FaultEventKind::kDpnRepair: {
-      Dpn& dpn = *dpns_[static_cast<size_t>(event.node)];
-      if (dpn.up()) break;
-      dpn.Repair();
-      FaultCounter("fault.repairs") += 1;
-      trace_.Record({.time = sim_.Now(),
-                     .type = TraceEventType::kDpnRepair,
-                     .node = event.node});
-      break;
+void Machine::StartFaultSources() {
+  const FaultConfig& fault = config_.fault;
+  Rng root(config_.run.seed ^ kFaultSeedSalt);
+  // Fork a fixed set of child streams, in a fixed order, so each fault
+  // source is independent of the others' configuration: turning stragglers
+  // on must not move the crash schedule. Per-node streams keep node k's
+  // schedule independent of the draws of the other nodes.
+  Rng crash_rng = root.Fork();
+  Rng straggler_rng = root.Fork();
+  abort_rng_ = root.Fork();
+  const int num_nodes = config_.machine.num_nodes;
+  for (NodeId node = 0; node < num_nodes; ++node) {
+    crash_rngs_.push_back(crash_rng.Fork());
+    straggler_rngs_.push_back(straggler_rng.Fork());
+  }
+  // Fault timing never depends on what the workload does, only on the seed.
+  if (fault.dpn_mttf_ms > 0.0) {
+    for (NodeId node = 0; node < num_nodes; ++node) {
+      ScheduleFault(crash_rngs_[static_cast<size_t>(node)].Exponential(
+                        fault.dpn_mttf_ms),
+                    [this, node] { OnDpnCrash(node); });
     }
-    case FaultEventKind::kSlowdownStart: {
-      Dpn& dpn = *dpns_[static_cast<size_t>(event.node)];
-      // A window opening on a crashed node is lost: the node comes back
-      // from repair at full speed.
-      if (!dpn.up()) break;
-      dpn.set_slowdown(config_.fault.straggler_factor);
-      FaultCounter("fault.slowdowns") += 1;
-      trace_.Record({.time = sim_.Now(),
-                     .type = TraceEventType::kDpnSlowdown,
-                     .node = event.node,
-                     .arg = 1,
-                     .value = config_.fault.straggler_factor});
-      break;
+  }
+  if (fault.straggler_mtbf_ms > 0.0) {
+    for (NodeId node = 0; node < num_nodes; ++node) {
+      ScheduleFault(straggler_rngs_[static_cast<size_t>(node)].Exponential(
+                        fault.straggler_mtbf_ms),
+                    [this, node] { OnSlowdownStart(node); });
     }
-    case FaultEventKind::kSlowdownEnd: {
-      Dpn& dpn = *dpns_[static_cast<size_t>(event.node)];
-      if (!dpn.up() || dpn.slowdown() == 1.0) break;
-      dpn.set_slowdown(1.0);
-      trace_.Record({.time = sim_.Now(),
-                     .type = TraceEventType::kDpnSlowdown,
-                     .node = event.node,
-                     .arg = 0,
-                     .value = 1.0});
-      break;
-    }
-    case FaultEventKind::kInjectAbort:
-      InjectAbort(event.pick);
-      break;
+  }
+  if (fault.abort_rate_per_s > 0.0) {
+    ScheduleFault(abort_rng_.Exponential(1000.0 / fault.abort_rate_per_s),
+                  [this] { OnInjectAbort(); });
   }
 }
 
+void Machine::ScheduleFault(double delay_ms, EventQueue::Callback cb) {
+  // The draw is compared with the time left before it becomes ticks: a draw
+  // beyond the clock range would overflow MsToTime. The 1 ms margin leaves
+  // every draw near the horizon to the exact comparison in ticks.
+  const SimTime now = sim_.Now();
+  if (!(delay_ms < TimeToMs(config_.horizon() - now) + 1.0)) return;
+  const SimTime at = now + MsToTime(delay_ms);
+  if (at < config_.horizon()) sim_.ScheduleAt(at, std::move(cb));
+}
+
+// Each handler schedules its source's next event before it acts, so the
+// next event precedes whatever the action schedules for the same instant.
+// A node's crashes and repairs come from one source and alternate.
 void Machine::OnDpnCrash(NodeId node) {
+  trace_.set_now(sim_.Now());
+  ScheduleFault(crash_rngs_[static_cast<size_t>(node)].Exponential(
+                    config_.fault.dpn_mttr_ms),
+                [this, node] { OnDpnRepair(node); });
   Dpn& dpn = *dpns_[static_cast<size_t>(node)];
-  if (!dpn.up()) return;
   FaultCounter("fault.crashes") += 1;
   trace_.Record({.time = sim_.Now(),
                  .type = TraceEventType::kDpnCrash,
@@ -723,7 +725,57 @@ void Machine::OnDpnCrash(NodeId node) {
   }
 }
 
-void Machine::InjectAbort(double pick) {
+void Machine::OnDpnRepair(NodeId node) {
+  trace_.set_now(sim_.Now());
+  ScheduleFault(crash_rngs_[static_cast<size_t>(node)].Exponential(
+                    config_.fault.dpn_mttf_ms),
+                [this, node] { OnDpnCrash(node); });
+  dpns_[static_cast<size_t>(node)]->Repair();
+  FaultCounter("fault.repairs") += 1;
+  trace_.Record({.time = sim_.Now(),
+                 .type = TraceEventType::kDpnRepair,
+                 .node = node});
+}
+
+void Machine::OnSlowdownStart(NodeId node) {
+  trace_.set_now(sim_.Now());
+  ScheduleFault(config_.fault.straggler_duration_ms,
+                [this, node] { OnSlowdownEnd(node); });
+  Dpn& dpn = *dpns_[static_cast<size_t>(node)];
+  // A window opening on a crashed node is lost: the node comes back from
+  // repair at full speed.
+  if (!dpn.up()) return;
+  dpn.set_slowdown(config_.fault.straggler_factor);
+  FaultCounter("fault.slowdowns") += 1;
+  trace_.Record({.time = sim_.Now(),
+                 .type = TraceEventType::kDpnSlowdown,
+                 .node = node,
+                 .arg = 1,
+                 .value = config_.fault.straggler_factor});
+}
+
+void Machine::OnSlowdownEnd(NodeId node) {
+  trace_.set_now(sim_.Now());
+  // Windows never overlap: the next gap starts when this window closes.
+  ScheduleFault(straggler_rngs_[static_cast<size_t>(node)].Exponential(
+                    config_.fault.straggler_mtbf_ms),
+                [this, node] { OnSlowdownStart(node); });
+  Dpn& dpn = *dpns_[static_cast<size_t>(node)];
+  if (!dpn.up() || dpn.slowdown() == 1.0) return;
+  dpn.set_slowdown(1.0);
+  trace_.Record({.time = sim_.Now(),
+                 .type = TraceEventType::kDpnSlowdown,
+                 .node = node,
+                 .arg = 0,
+                 .value = 1.0});
+}
+
+void Machine::OnInjectAbort() {
+  trace_.set_now(sim_.Now());
+  // The victim pick comes off the stream before the next gap.
+  const double pick = abort_rng_.NextDouble();
+  ScheduleFault(abort_rng_.Exponential(1000.0 / config_.fault.abort_rate_per_s),
+                [this] { OnInjectAbort(); });
   // Eligible victims: admitted transactions that are not mid-decision (a
   // CN decision job holds a raw reference to the incarnation) and not past
   // the commit point. The active() map is ordered by id, so `pick` indexes

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "analysis/schedule_log.h"
-#include "fault/fault_plan.h"
 #include "machine/config.h"
 #include "machine/control_node.h"
 #include "machine/data_placement.h"
@@ -132,11 +131,18 @@ class Machine {
   void OnCommitDone(TxnId id);
 
   // --- Faults (src/fault/, DESIGN.md "Fault model") ---
-  // Dispatches one pre-compiled FaultPlan event at its scheduled time.
-  void OnFaultEvent(const FaultEvent& event);
+  // Forks one stream per fault source and schedules each source's first
+  // event. Every handler below draws its source's next event as it fires,
+  // so a source has at most one event pending.
+  void StartFaultSources();
+  // Schedules `cb` `delay_ms` from now, or drops it when that falls at or
+  // beyond the horizon, which ends the source.
+  void ScheduleFault(double delay_ms, EventQueue::Callback cb);
   void OnDpnCrash(NodeId node);
-  // Aborts the eligible transaction selected by `pick` (uniform in [0, 1)).
-  void InjectAbort(double pick);
+  void OnDpnRepair(NodeId node);
+  void OnSlowdownStart(NodeId node);
+  void OnSlowdownEnd(NodeId node);
+  void OnInjectAbort();
   // Aborts an in-flight transaction from outside the scheduler: cancels its
   // surviving cohorts, releases its locks through Scheduler::OnAbort, and
   // restarts it after an exponential backoff with deterministic jitter.
@@ -191,8 +197,13 @@ class Machine {
 
   // --- Fault state (inert unless config.fault.enabled()) ---
   const bool faults_enabled_;
-  FaultPlan fault_plan_;
-  // Backoff jitter; salted off the run seed, independent of the plan's
+  // Per-source streams, forked by StartFaultSources: crash/repair gaps and
+  // straggler-window gaps per node, and the injections' gaps and victim
+  // picks. Independent of the workload streams.
+  std::vector<Rng> crash_rngs_;
+  std::vector<Rng> straggler_rngs_;
+  Rng abort_rng_;
+  // Backoff jitter; salted off the run seed, independent of the source
   // streams and of the workload streams.
   Rng fault_rng_;
   // (node, job) handles of the in-flight cohorts of each executing

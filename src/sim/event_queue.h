@@ -21,9 +21,10 @@ namespace wtpgsched {
 // compaction sweeps; heap_entries() == size() always.
 class EventQueue {
  public:
-  // Inline capture budget for event callbacks. The largest kernel capture
-  // today is the machine's fault dispatch ([this, FaultEvent], 32 bytes);
-  // 48 leaves headroom without bloating the slab records.
+  // Inline capture budget for event callbacks. The largest kernel captures
+  // today are three words (the CN message's [this, id, inc] and the
+  // round-robin slice's [this, id, slice], 24 bytes); 48 leaves headroom
+  // without bloating the slab records.
   static constexpr size_t kInlineCallbackBytes = 48;
   using Callback = InplaceFunction<void(), kInlineCallbackBytes>;
   using EventId = uint64_t;

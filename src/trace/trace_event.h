@@ -45,7 +45,7 @@ enum class TraceEventType : uint8_t {
                    // value2=critical path with the grant's orientations.
   kC2plPredict,    // txn, file, arg=1 cycle predicted (delay) / 0 clear.
   kOptValidation,  // txn, inc, arg=1 pass / 0 fail.
-  // --- Fault lifecycle (emitted by the machine from the FaultPlan) ---
+  // --- Fault lifecycle (emitted by the machine's fault sources) ---
   kDpnCrash,       // node — DPN failed; resident cohorts die.
   kDpnRepair,      // node — DPN back up, placement intact.
   kDpnSlowdown,    // node, arg=1 window opens / 0 closes, value=factor.
@@ -58,7 +58,7 @@ enum AbortReason : int32_t {
   kAbortValidationFailure = 0,  // OPT certification failed at commit.
   kAbortDeadlockVictim = 1,     // 2PL deadlock victim.
   kAbortNodeCrash = 2,          // A DPN holding one of its cohorts crashed.
-  kAbortInjected = 3,           // Spontaneous abort from the fault plan.
+  kAbortInjected = 3,           // Spontaneous abort injection.
 };
 
 // Payload of TraceEvent::arg for kGowOrientation.

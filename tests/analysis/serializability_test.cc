@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <set>
+#include <tuple>
+#include <vector>
+
+#include "util/random.h"
+
 namespace wtpgsched {
 namespace {
 
@@ -116,6 +124,93 @@ TEST(SerializabilityTest, ThreeWayCycle) {
   const SerializabilityResult result = CheckConflictSerializability(log);
   EXPECT_FALSE(result.serializable);
   EXPECT_EQ(result.cycle.size(), 3u);
+}
+
+// A chain of 300,000 transactions, T_i writing files i and i + 1, is one
+// path as deep as the log is long: the search must not recurse per node.
+TEST(SerializabilityTest, LongChainNeedsNoDeepStack) {
+  constexpr TxnId kChain = 300'000;
+  ScheduleLog log;
+  for (TxnId i = 1; i <= kChain; ++i) {
+    const auto file = static_cast<FileId>(i);
+    log.RecordAccess(i, 0, file, kX, 2 * i);
+    log.RecordAccess(i, 0, file + 1, kX, 2 * i + 1);
+    log.RecordCommit(i, 0);
+  }
+  EXPECT_TRUE(CheckConflictSerializability(log).serializable);
+
+  // T1 writing the chain's last file after T_n closes it into one cycle
+  // through every transaction.
+  log.RecordAccess(1, 0, static_cast<FileId>(kChain + 1), kX, 2 * kChain + 2);
+  const SerializabilityResult result = CheckConflictSerializability(log);
+  EXPECT_FALSE(result.serializable);
+  EXPECT_EQ(result.cycle.size(), static_cast<size_t>(kChain));
+}
+
+// The full conflict graph — an edge for every conflicting pair — has a
+// cycle exactly when the checker finds one.
+bool FullGraphHasCycle(const ScheduleLog& log) {
+  std::vector<ScheduleLog::Access> accesses;
+  for (const auto& a : log.accesses()) {
+    auto it = log.committed().find(a.txn);
+    if (it != log.committed().end() && it->second == a.incarnation) {
+      accesses.push_back(a);
+    }
+  }
+  std::map<TxnId, std::set<TxnId>> adj;
+  for (const auto& a : accesses) {
+    for (const auto& b : accesses) {
+      const bool before = std::tie(a.effective_time, a.sequence) <
+                          std::tie(b.effective_time, b.sequence);
+      if (a.file == b.file && a.txn != b.txn && before &&
+          Conflicts(a.mode, b.mode)) {
+        adj[a.txn].insert(b.txn);
+      }
+    }
+  }
+  // Repeatedly drop nodes without successors; a cycle leaves some behind.
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (auto it = adj.begin(); it != adj.end();) {
+      std::set<TxnId>& succ = it->second;
+      for (auto s = succ.begin(); s != succ.end();) {
+        s = adj.count(*s) ? std::next(s) : succ.erase(s);
+      }
+      if (succ.empty()) {
+        it = adj.erase(it);
+        changed = true;
+      } else {
+        ++it;
+      }
+    }
+  }
+  return !adj.empty();
+}
+
+TEST(SerializabilityTest, MatchesTheFullConflictGraph) {
+  Rng rng(17);
+  int cycles = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    ScheduleLog log;
+    const int txns = static_cast<int>(rng.UniformInt(2, 8));
+    const int files = static_cast<int>(rng.UniformInt(1, 4));
+    const int accesses = static_cast<int>(rng.UniformInt(2, 20));
+    for (int i = 0; i < accesses; ++i) {
+      log.RecordAccess(rng.UniformInt(1, txns), 0,
+                       static_cast<FileId>(rng.UniformInt(0, files - 1)),
+                       rng.UniformInt(0, 1) == 0 ? kS : kX,
+                       rng.UniformInt(0, 10));
+    }
+    for (TxnId id = 1; id <= txns; ++id) {
+      if (rng.UniformInt(0, 4) > 0) log.RecordCommit(id, 0);
+    }
+    const bool cycle = FullGraphHasCycle(log);
+    cycles += cycle ? 1 : 0;
+    EXPECT_EQ(CheckConflictSerializability(log).serializable, !cycle)
+        << "trial " << trial;
+  }
+  EXPECT_GT(cycles, 50);
 }
 
 TEST(ScheduleLogTest, ClearResets) {

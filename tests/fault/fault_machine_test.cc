@@ -159,7 +159,7 @@ TEST(FaultMachineTest, AbortStormLeavesNoLeaks) {
   }
 }
 
-// The determinism contract extends to fault runs: the compiled plan and
+// The determinism contract extends to fault runs: the fault draws and
 // every downstream effect depend only on the replica seed, so fanning the
 // seeds across any worker count reproduces the serial bytes.
 TEST(FaultMachineTest, FaultRunsAreJobsInvariant) {
@@ -177,8 +177,8 @@ TEST(FaultMachineTest, FaultRunsAreJobsInvariant) {
   EXPECT_GT(Counter(serial.counters, "fault.crashes"), 0u);
 }
 
-// Seeds differ -> plans differ -> results differ (no accidental seed
-// aliasing between the fault stream and the workload streams).
+// Seeds differ -> fault draws differ -> results differ (no accidental seed
+// aliasing between the fault streams and the workload streams).
 TEST(FaultMachineTest, DifferentSeedsDifferentChurn) {
   SimConfig c = BaseConfig(SchedulerKind::kTwoPl);
   c.workload.max_arrivals = 0;
@@ -189,6 +189,22 @@ TEST(FaultMachineTest, DifferentSeedsDifferentChurn) {
   c.run.seed = 2;
   const RunStats b = RunSimulation(c, pattern);
   EXPECT_NE(a.ToJson(), b.ToJson());
+}
+
+// A draw beyond the clock range ends its source: at these seeds the first
+// crash draw of some node lies past what a SimTime can hold, and the run
+// completes without a crash instead of overflowing the conversion to ticks.
+TEST(FaultMachineTest, DrawsBeyondTheClockRangeEndTheirSource) {
+  for (uint64_t seed : {3, 4, 5}) {
+    SimConfig c = BaseConfig(SchedulerKind::kLow);
+    c.workload.max_arrivals = 5;
+    c.run.seed = seed;
+    c.fault.dpn_mttf_ms = 4e15;
+    Machine machine(c, Pattern::Experiment1(c.machine.num_files));
+    const RunStats stats = machine.Run();
+    EXPECT_EQ(Counter(stats, "fault.crashes"), 0u) << "seed " << seed;
+    EXPECT_EQ(stats.completions, 5u) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Differential guard for the fault layer: a configuration with no faults
 // must produce byte-identical JSON to the goldens captured before the
-// fault subsystem existed. FaultPlan compilation, cohort-job bookkeeping,
-// and the lazily-registered fault counters all have to be invisible when
+// fault subsystem existed. The fault sources, cohort-job bookkeeping, and
+// the lazily-registered fault counters all have to be invisible when
 // config.fault is all-zero — any drift here fails loudly.
 //
 // The goldens were generated with:

@@ -69,9 +69,9 @@ TEST(ConfigTest, RejectsBadMplAndK) {
 }
 
 // A positive period below the 1 us clock tick rounds to zero ticks: the
-// fallback timer and the telemetry sampler would reschedule at the same
-// instant forever, and FaultPlan::Compile would grow its schedule without
-// end. Zero (off) and one tick are fine.
+// fallback timer, the telemetry sampler and the fault sources would
+// reschedule at the same instant again and again. Zero (off) and one tick
+// are fine.
 TEST(ConfigTest, RejectsPeriodsBelowTheClockTick) {
   SimConfig c;
   c.run.telemetry_sample_ms = 0.0001;
@@ -196,6 +196,76 @@ TEST(ConfigTest, RejectsFaultDurationsBeyondTheClockRange) {
   SimConfig c;
   for (const auto& [name, field] : fields) c.fault.*field = kMaxDurationMs;
   EXPECT_TRUE(c.Validate().ok());
+}
+
+// The double fields that are not durations must be finite as well: NaN
+// passes every ordered comparison, and infinity overflows the arithmetic
+// they feed (arrival gaps, Zipf sampling, scan service times).
+TEST(ConfigTest, RejectsNonFiniteValues) {
+  struct Field {
+    const char* name;
+    void (*set)(SimConfig*, double);
+  };
+  const Field fields[] = {
+      {"arrival_rate_tps",
+       [](SimConfig* c, double v) { c->workload.arrival_rate_tps = v; }},
+      {"error_sigma",
+       [](SimConfig* c, double v) { c->workload.error_sigma = v; }},
+      {"zipf_theta",
+       [](SimConfig* c, double v) { c->workload.zipf_theta = v; }},
+      {"quantum_objects",
+       [](SimConfig* c, double v) { c->machine.quantum_objects = v; }},
+      {"low_lb_weight", [](SimConfig* c, double v) { c->low_lb_weight = v; }},
+      {"straggler_factor",
+       [](SimConfig* c, double v) { c->fault.straggler_factor = v; }},
+      {"abort_rate_per_s",
+       [](SimConfig* c, double v) { c->fault.abort_rate_per_s = v; }},
+      {"backoff_jitter",
+       [](SimConfig* c, double v) { c->fault.backoff_jitter = v; }}};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const Field& field : fields) {
+    for (double v : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+      SimConfig c;
+      field.set(&c, v);
+      ExpectRejectedNaming(c, field.name, v);
+    }
+  }
+}
+
+TEST(FaultConfigTest, DisabledByDefault) {
+  FaultConfig f;
+  EXPECT_FALSE(f.enabled());
+  EXPECT_TRUE(f.Validate().ok());
+}
+
+TEST(FaultConfigTest, ValidateRejectsBadValues) {
+  FaultConfig f;
+  f.dpn_mttf_ms = 1000;
+  f.dpn_mttr_ms = 0;
+  EXPECT_FALSE(f.Validate().ok());
+
+  f = FaultConfig{};
+  f.straggler_mtbf_ms = 1000;
+  f.straggler_factor = 0.5;
+  EXPECT_FALSE(f.Validate().ok());
+
+  f = FaultConfig{};
+  f.backoff_jitter = 1.0;
+  EXPECT_FALSE(f.Validate().ok());
+
+  f = FaultConfig{};
+  f.backoff_base_ms = 2000;
+  f.backoff_max_ms = 1000;
+  EXPECT_FALSE(f.Validate().ok());
+
+  f = FaultConfig{};
+  f.dpn_mttf_ms = 60'000;
+  f.dpn_mttr_ms = 20'000;
+  f.straggler_mtbf_ms = 120'000;
+  f.straggler_duration_ms = 30'000;
+  f.straggler_factor = 4.0;
+  f.abort_rate_per_s = 0.05;
+  EXPECT_TRUE(f.Validate().ok());
 }
 
 TEST(ConfigTest, SchedulerKindNames) {
