@@ -162,6 +162,9 @@ Status SimConfig::Validate() const {
   if (run.restart_delay_ms < 0.0) {
     return Status::InvalidArgument("restart_delay_ms must be >= 0");
   }
+  if (run.admission_retry_limit < 0) {
+    return Status::InvalidArgument("admission_retry_limit must be >= 0");
+  }
   if (run.trace_enabled && run.trace_capacity == 0) {
     return Status::InvalidArgument(
         "trace_capacity must be > 0 when tracing is enabled");

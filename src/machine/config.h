@@ -85,9 +85,9 @@ struct RunSection {
   // guarantees liveness if no commit is pending ("submitted ... after some
   // delay"). 0 disables it.
   double retry_fallback_ms = 1000.0;
-  // For schedulers whose admission test costs CN CPU (GOW's chain-form
-  // test), at most this many parked startups are retried per wake event;
-  // failures requeue at the back, so the pool is covered round-robin.
+  // Of the parked startups whose retest costs CN CPU (StartupDecisionCost
+  // > 0: GOW's chain-form test), at most this many are retried per wake
+  // event; failures requeue at the back, so the pool is covered round-robin.
   // Without the cap, a supersaturated waiting pool retested on every commit
   // starves the control node (see DESIGN.md). 0 = unlimited.
   int admission_retry_limit = 16;

@@ -7,6 +7,16 @@
 #include "util/string_util.h"
 
 namespace wtpgsched {
+namespace {
+
+// A scan time beyond kMaxDurationMs does not fit the clock: it saturates
+// there, past every horizon, so the scan neither overflows nor finishes
+// within the run. Times that fit convert unchanged.
+SimTime ScanTime(double ms) {
+  return MsToTime(std::min(ms, kMaxDurationMs));
+}
+
+}  // namespace
 
 Dpn::Dpn(Simulator* sim, NodeId id, double obj_time_ms)
     : id_(id),
@@ -23,9 +33,9 @@ RoundRobinServer::JobId Dpn::SubmitCohort(double objects,
   WTPG_CHECK(up_) << "cohort submitted to crashed DPN" << id_;
   // A straggling node scans slower: both the slice length and the total
   // stretch, so the cohort still gets one object-equivalent per turn.
-  const SimTime service = MsToTime(objects * obj_time_ms_ * slowdown_);
+  const SimTime service = ScanTime(objects * obj_time_ms_ * slowdown_);
   const SimTime quantum = std::max<SimTime>(
-      MsToTime(quantum_objects * obj_time_ms_ * slowdown_), 1);
+      ScanTime(quantum_objects * obj_time_ms_ * slowdown_), 1);
   submitted_objects_ += objects;
   const RoundRobinServer::JobId id = server_.next_job_id();
   const RoundRobinServer::JobId assigned =

@@ -900,11 +900,13 @@ void Machine::RetryDelayed() {
 
 void Machine::RetryAdmissions() {
   if (admission_wait_.empty()) return;
-  size_t budget = admission_wait_.size();
-  if (scheduler_->traits().costly_admission && config_.run.admission_retry_limit > 0) {
-    budget = std::min(budget,
-                      static_cast<size_t>(config_.run.admission_retry_limit));
-  }
+  // Each parked startup is retested at most once per wake. Retests that
+  // cost CN time (GOW's) are further capped at admission_retry_limit.
+  const size_t budget = admission_wait_.size();
+  size_t costed_budget = config_.run.admission_retry_limit > 0
+                             ? static_cast<size_t>(
+                                   config_.run.admission_retry_limit)
+                             : budget;
   // Zero-cost retries go to the CN as sweeps: one multi-step job per run of
   // consecutive ones, each step deciding the next id of the sweep's block
   // in sweep_ids_. A retry that costs CN time keeps its own job between
@@ -921,11 +923,12 @@ void Machine::RetryAdmissions() {
   };
   for (size_t i = 0; i < budget && !admission_wait_.empty(); ++i) {
     const TxnId id = admission_wait_.front();
+    const SimTime cost = scheduler_->StartupDecisionCost(GetTxn(id));
+    if (cost > 0 && costed_budget-- == 0) break;
     admission_wait_.pop_front();
     ++decision_retries_;
     // Failures re-park at the back, rotating the pool across wake events.
     if (std::exchange(SlotOf(id).pending_decision, true)) continue;
-    const SimTime cost = scheduler_->StartupDecisionCost(GetTxn(id));
     if (cost == 0) {
       sweep_ids_.push_back(id);
       ++block;

@@ -34,7 +34,7 @@ class GowScheduler : public WtpgSchedulerBase {
   uint64_t chain_rejections() const { return chain_rejections_; }
 
   SchedulerTraits traits() const override {
-    return {.costly_admission = true, .pure_lock_block = true};
+    return {.pure_lock_block = true};
   }
 
   void ExportCounters(CounterRegistry* registry) const override;

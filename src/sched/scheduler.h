@@ -59,11 +59,6 @@ struct SchedulerTraits {
   // machine logs write accesses at commit time for such schedulers and at
   // scan time otherwise.
   bool defers_writes = false;
-  // Each admission (re)test consumes control-node CPU, in which case the
-  // machine bounds how many parked startups it retests per wake event
-  // (config.run.admission_retry_limit). False for schedulers whose
-  // admission test is a plain lock-table scan.
-  bool costly_admission = false;
   // A lock grant can flip earlier kDelay decisions, so the machine should
   // retry delayed requests after each grant. True for the WTPG optimizers
   // (their E()/plan comparisons change with every orientation); false for

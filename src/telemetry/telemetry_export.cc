@@ -1,21 +1,9 @@
 #include "telemetry/telemetry_export.h"
 
-#include <cmath>
-#include <fstream>
-
 #include "util/csv.h"
-#include "util/json_writer.h"
 #include "util/string_util.h"
 
 namespace wtpgsched {
-
-namespace {
-// JSON numbers cannot be non-finite; emit null for them (matches
-// JsonWriter's double handling).
-std::string JsonGaugeValue(double v) {
-  return std::isfinite(v) ? Format("%.9g", v) : std::string("null");
-}
-}  // namespace
 
 std::vector<GaugeTrack> ToGaugeTracks(const TelemetryStore& store) {
   std::vector<GaugeTrack> tracks(store.num_columns());
@@ -51,42 +39,6 @@ Status WriteTelemetryCsv(const TelemetryStore& store,
     writer.WriteRow(row);
   }
   return writer.Close();
-}
-
-Status WriteTelemetryJsonl(const TelemetryStore& store,
-                           const std::string& path) {
-  std::ofstream out(path, std::ios::out | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::Internal(StrCat("cannot open ", path, " for writing"));
-  }
-  std::string names = "[";
-  for (size_t col = 0; col < store.num_columns(); ++col) {
-    if (col > 0) names += ",";
-    names += StrCat("\"", JsonWriter::Escape(store.name(col)), "\"");
-  }
-  names += "]";
-  JsonWriter header;
-  header.Add("schema", "wtpg-telemetry/1")
-      .Add("rows", static_cast<uint64_t>(store.size()))
-      .Add("dropped", store.dropped())
-      .Add("time_unit", "us");
-  header.AddRaw("columns", names);
-  out << header.ToString() << '\n';
-  for (size_t r = 0; r < store.size(); ++r) {
-    std::string values = "[";
-    for (size_t col = 0; col < store.num_columns(); ++col) {
-      if (col > 0) values += ",";
-      values += JsonGaugeValue(store.value(r, col));
-    }
-    values += "]";
-    JsonWriter line;
-    line.Add("t", static_cast<int64_t>(store.time(r)));
-    line.AddRaw("v", values);
-    out << line.ToString() << '\n';
-  }
-  out.flush();
-  if (!out.good()) return Status::Internal(StrCat("write failed: ", path));
-  return Status::Ok();
 }
 
 }  // namespace wtpgsched

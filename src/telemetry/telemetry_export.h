@@ -18,11 +18,6 @@ std::vector<GaugeTrack> ToGaugeTracks(const TelemetryStore& store);
 // per sample, times in seconds at microsecond precision.
 Status WriteTelemetryCsv(const TelemetryStore& store, const std::string& path);
 
-// Writes the store as JSONL: a header object naming the columns, then one
-// {"t":<us>,"v":[...]} object per sample.
-Status WriteTelemetryJsonl(const TelemetryStore& store,
-                           const std::string& path);
-
 }  // namespace wtpgsched
 
 #endif  // WTPG_SCHED_TELEMETRY_TELEMETRY_EXPORT_H_

@@ -42,8 +42,6 @@ void AddTelemetryFlags(FlagParser& flags) {
                "telemetry ring capacity in rows (most recent kept)");
   flags.AddString("telemetry-csv", "",
                   "write the sampled gauge series as wide CSV to this file");
-  flags.AddString("telemetry-jsonl", "",
-                  "write the sampled gauge series as JSONL to this file");
 }
 
 void AddProgressFlags(FlagParser& flags) {

@@ -156,13 +156,12 @@ class JsonParser {
             text_[pos_] == '+' || text_[pos_] == '-')) {
       ++pos_;
     }
-    double value = 0.0;
-    if (pos_ == start || !ParseDouble(text_.substr(start, pos_ - start),
-                                      &value)) {
+    out->string_value_ = text_.substr(start, pos_ - start);
+    if (pos_ == start ||
+        !ParseDouble(out->string_value_, &out->number_value_)) {
       return Error("bad number");
     }
     out->type_ = JsonValue::Type::kNumber;
-    out->number_value_ = value;
     return Status::Ok();
   }
 

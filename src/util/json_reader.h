@@ -10,8 +10,9 @@
 namespace wtpgsched {
 
 // Parsed JSON value — the counterpart of util/json_writer, sized for the
-// artifacts this library writes itself (config files, stats objects):
-// nesting up to kMaxJsonDepth, no streaming, keys kept in document order.
+// artifacts this library writes itself (config files, stats objects, trace
+// JSONL lines): nesting up to kMaxJsonDepth, no streaming, keys kept in
+// document order.
 // Not a validating general-purpose parser; anything structurally malformed
 // fails with a status.
 class JsonValue {
@@ -23,6 +24,8 @@ class JsonValue {
 
   bool bool_value() const { return bool_value_; }
   double number_value() const { return number_value_; }
+  // A number's text as written: integers beyond 2^53 read exactly from it.
+  const std::string& number_text() const { return string_value_; }
   const std::string& string_value() const { return string_value_; }
   const std::vector<std::pair<std::string, JsonValue>>& items() const {
     return items_;
@@ -37,7 +40,7 @@ class JsonValue {
   Type type_ = Type::kNull;
   bool bool_value_ = false;
   double number_value_ = 0.0;
-  std::string string_value_;
+  std::string string_value_;  // A string's value, or a number's text.
   std::vector<std::pair<std::string, JsonValue>> items_;
   std::vector<JsonValue> elements_;
 };

@@ -86,30 +86,41 @@ std::vector<StepSpec> Pattern::Instantiate(Rng* rng, int dd,
   std::vector<FileId> bound(vars_.size(), kInvalidFile);
   for (size_t i = 0; i < vars_.size(); ++i) {
     const FileVarSpec& v = vars_[i];
-    FileId file;
-    int attempts = 0;
-    do {
-      // Zipf vars draw a skewed rank offset from the pool base; uniform
-      // vars keep the exact historical UniformInt path (bit-identical
-      // draws for theta == 0 configs).
-      file = v.zipf_theta > 0.0
+    // Zipf vars draw a skewed rank offset from the pool base; uniform vars
+    // keep the exact historical UniformInt path (bit-identical draws for
+    // theta == 0 configs).
+    const auto draw = [&] {
+      return v.zipf_theta > 0.0
                  ? static_cast<FileId>(v.pool_lo + zipf_[i].Sample(rng))
                  : static_cast<FileId>(rng->UniformInt(v.pool_lo, v.pool_hi));
-      bool clash = false;
-      if (v.distinct_within_pool) {
-        for (size_t j = 0; j < i; ++j) {
-          const FileVarSpec& w = vars_[j];
-          if (w.pool_lo == v.pool_lo && w.pool_hi == v.pool_hi &&
-              w.distinct_within_pool && bound[j] == file) {
-            clash = true;
-            break;
-          }
+    };
+    // Distinct variables of one pool bind different files.
+    const auto taken = [&](FileId file) {
+      if (!v.distinct_within_pool) return false;
+      for (size_t j = 0; j < i; ++j) {
+        const FileVarSpec& w = vars_[j];
+        if (w.pool_lo == v.pool_lo && w.pool_hi == v.pool_hi &&
+            w.distinct_within_pool && bound[j] == file) {
+          return true;
         }
       }
-      if (!clash) break;
-      ++attempts;
-      WTPG_CHECK_LT(attempts, 10000) << "file pool too small for distinctness";
-    } while (true);
+      return false;
+    };
+    FileId file = draw();
+    for (int attempts = 1; taken(file); ++attempts) {
+      if (attempts < 10000) {
+        file = draw();
+        continue;
+      }
+      // A steep skew can keep drawing held files (theta 50 puts nearly all
+      // the mass on pool_lo): bind the first free file of the pool instead,
+      // drawing nothing more.
+      for (file = v.pool_lo; taken(file); ++file) {
+        WTPG_CHECK_LT(file, v.pool_hi)
+            << "file pool too small for distinctness";
+      }
+      break;
+    }
     bound[i] = file;
   }
 

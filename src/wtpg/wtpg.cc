@@ -15,24 +15,23 @@ void EraseValue(std::vector<int32_t>* list, int32_t value) {
 }  // namespace
 
 void Wtpg::SetSparsePrecedence() {
-  WTPG_CHECK(slot_of_.empty() && num_edges_ == 0)
+  WTPG_CHECK(slot_of_.empty() && edges_.empty())
       << "sparse precedence mode must be set on an empty graph";
   sparse_precedence_ = true;
 }
 
 int32_t Wtpg::SlotOf(TxnId id) const {
-  auto it = slot_of_.find(id);
-  WTPG_CHECK(it != slot_of_.end()) << "T" << id << " not in WTPG";
-  return it->second;
-}
-
-int32_t Wtpg::SlotOrNull(TxnId id) const {
-  auto it = slot_of_.find(id);
-  return it == slot_of_.end() ? -1 : it->second;
+  const int32_t slot = SlotOrNull(id);
+  WTPG_CHECK(slot >= 0) << "T" << id << " not in WTPG";
+  return slot;
 }
 
 void Wtpg::AddNode(TxnId id, double remaining) {
   WTPG_CHECK_GE(remaining, 0.0);
+  WTPG_CHECK_NE(id, kInvalidTxn);
+  const auto [slot_entry, inserted] =
+      slot_of_.Insert(static_cast<uint64_t>(id));
+  WTPG_CHECK(inserted) << "node T" << id << " already in WTPG";
   int32_t slot;
   if (free_head_ >= 0) {
     slot = free_head_;
@@ -41,9 +40,7 @@ void Wtpg::AddNode(TxnId id, double remaining) {
     slot = static_cast<int32_t>(slots_.size());
     slots_.emplace_back();
   }
-  const auto [it, inserted] = slot_of_.emplace(id, slot);
-  (void)it;
-  WTPG_CHECK(inserted) << "node T" << id << " already in WTPG";
+  *slot_entry = slot;
   Node& node = slots_[static_cast<size_t>(slot)];
   node.id = id;
   node.remaining = remaining;
@@ -62,16 +59,9 @@ void Wtpg::AddConflictEdge(TxnId a, TxnId b, double weight_ab,
   const int32_t sb = SlotOrNull(b);
   WTPG_CHECK(sa >= 0) << "T" << a;
   WTPG_CHECK(sb >= 0) << "T" << b;
-  Edge* edge = InsertEdge(sa, sb);
-  WTPG_CHECK(edge != nullptr)
-      << "edge (T" << a << ",T" << b << ") already in WTPG";
-  if (a < b) {
-    *edge = Edge{a, b, weight_ab, weight_ba, false, kInvalidTxn};
-  } else {
-    *edge = Edge{b, a, weight_ba, weight_ab, false, kInvalidTxn};
-  }
-  slots_[static_cast<size_t>(sa)].neighbors.push_back(sb);
-  slots_[static_cast<size_t>(sb)].neighbors.push_back(sa);
+  InsertEdge(sa, sb,
+             a < b ? Edge{a, b, weight_ab, weight_ba, false, kInvalidTxn}
+                   : Edge{b, a, weight_ba, weight_ab, false, kInvalidTxn});
 }
 
 void Wtpg::RemoveNode(TxnId id) {
@@ -83,7 +73,8 @@ void Wtpg::RemoveNode(TxnId id) {
   // drops `id`'s own memoized distance, keeping dist_valid_ consistent).
   InvalidateDownstream(slot);
   for (int32_t nb : node.neighbors) {
-    EraseEdge(slot, nb);
+    WTPG_CHECK(edges_.Erase(PackSlots(slot, nb)))
+        << "RemoveNode: edge not in table";
     Node& other = slots_[static_cast<size_t>(nb)];
     EraseValue(&other.neighbors, slot);
     EraseValue(&other.out, slot);
@@ -101,110 +92,41 @@ void Wtpg::RemoveNode(TxnId id) {
   node.id = kInvalidTxn;
   node.next_free = free_head_;
   free_head_ = slot;
-  slot_of_.erase(id);
+  slot_of_.Erase(static_cast<uint64_t>(id));
 }
 
 void Wtpg::SetRemaining(TxnId id, double remaining) {
   WTPG_CHECK_GE(remaining, 0.0);
-  Node& node = slots_[static_cast<size_t>(slot_of_.at(id))];
+  const int32_t slot = SlotOf(id);
+  Node& node = slots_[static_cast<size_t>(slot)];
   if (node.remaining == remaining) return;
-  InvalidateDownstream(slot_of_.at(id));
+  InvalidateDownstream(slot);
   node.remaining = remaining;
 }
 
 double Wtpg::remaining(TxnId id) const {
-  return slots_[static_cast<size_t>(slot_of_.at(id))].remaining;
+  return slots_[static_cast<size_t>(SlotOf(id))].remaining;
 }
 
-// --- Open-addressed edge table ---
-
-const Wtpg::Edge* Wtpg::FindEdgeBySlots(int32_t sa, int32_t sb) const {
-  if (edge_buckets_.empty()) return nullptr;
-  const uint64_t key = PackSlots(sa, sb);
-  const size_t mask = edge_buckets_.size() - 1;
-  for (size_t idx = BucketFor(key);; idx = (idx + 1) & mask) {
-    const EdgeBucket& bucket = edge_buckets_[idx];
-    if (bucket.key == kEmptyEdgeKey) return nullptr;
-    if (bucket.key == key) return &bucket.edge;
-  }
-}
-
-Wtpg::Edge* Wtpg::MutableEdgeBySlots(int32_t sa, int32_t sb) {
-  return const_cast<Edge*>(FindEdgeBySlots(sa, sb));
-}
-
-Wtpg::Edge* Wtpg::InsertEdge(int32_t sa, int32_t sb) {
-  if (edge_buckets_.empty() ||
-      (num_edges_ + 1) * 2 > edge_buckets_.size()) {
-    GrowEdgeTable();
-  }
-  const uint64_t key = PackSlots(sa, sb);
-  const size_t mask = edge_buckets_.size() - 1;
-  for (size_t idx = BucketFor(key);; idx = (idx + 1) & mask) {
-    EdgeBucket& bucket = edge_buckets_[idx];
-    if (bucket.key == key) return nullptr;  // Duplicate.
-    if (bucket.key == kEmptyEdgeKey) {
-      bucket.key = key;
-      ++num_edges_;
-      return &bucket.edge;
-    }
-  }
-}
-
-void Wtpg::EraseEdge(int32_t sa, int32_t sb) {
-  WTPG_CHECK(!edge_buckets_.empty());
-  const uint64_t key = PackSlots(sa, sb);
-  const size_t mask = edge_buckets_.size() - 1;
-  size_t hole = BucketFor(key);
-  for (;; hole = (hole + 1) & mask) {
-    WTPG_CHECK(edge_buckets_[hole].key != kEmptyEdgeKey)
-        << "EraseEdge: edge not in table";
-    if (edge_buckets_[hole].key == key) break;
-  }
-  --num_edges_;
-  // Backward-shift deletion: pull displaced entries into the hole so every
-  // remaining entry stays reachable from its home bucket.
-  for (size_t idx = (hole + 1) & mask; edge_buckets_[idx].key != kEmptyEdgeKey;
-       idx = (idx + 1) & mask) {
-    const size_t home = BucketFor(edge_buckets_[idx].key);
-    if (((idx - home) & mask) >= ((idx - hole) & mask)) {
-      edge_buckets_[hole] = edge_buckets_[idx];
-      hole = idx;
-    }
-  }
-  edge_buckets_[hole].key = kEmptyEdgeKey;
-}
-
-void Wtpg::GrowEdgeTable() {
-  const size_t new_capacity =
-      edge_buckets_.empty() ? 16 : edge_buckets_.size() * 2;
-  std::vector<EdgeBucket> old = std::move(edge_buckets_);
-  edge_buckets_.assign(new_capacity, EdgeBucket{});
-  const size_t mask = new_capacity - 1;
-  for (EdgeBucket& bucket : old) {
-    if (bucket.key == kEmptyEdgeKey) continue;
-    size_t idx = BucketFor(bucket.key);
-    while (edge_buckets_[idx].key != kEmptyEdgeKey) idx = (idx + 1) & mask;
-    edge_buckets_[idx] = bucket;
-  }
+Wtpg::Edge* Wtpg::InsertEdge(int32_t sa, int32_t sb, const Edge& edge) {
+  const auto [entry, inserted] = edges_.Insert(PackSlots(sa, sb));
+  WTPG_CHECK(inserted) << "edge (T" << edge.a << ",T" << edge.b
+                       << ") already in WTPG";
+  *entry = edge;
+  slots_[static_cast<size_t>(sa)].neighbors.push_back(sb);
+  slots_[static_cast<size_t>(sb)].neighbors.push_back(sa);
+  return entry;
 }
 
 Wtpg::Edge* Wtpg::EnsureEdgeForOrient(int32_t sa, int32_t sb) {
   Edge* e = MutableEdgeBySlots(sa, sb);
   if (e != nullptr) return e;
   WTPG_CHECK(sparse_precedence_) << "OrientBatch: no edge";
-  e = InsertEdge(sa, sb);
-  WTPG_CHECK(e != nullptr);
   const TxnId ida = slots_[static_cast<size_t>(sa)].id;
   const TxnId idb = slots_[static_cast<size_t>(sb)].id;
-  if (ida < idb) {
-    *e = Edge{ida, idb, 0.0, 0.0, false, kInvalidTxn};
-  } else {
-    *e = Edge{idb, ida, 0.0, 0.0, false, kInvalidTxn};
-  }
-  slots_[static_cast<size_t>(sa)].neighbors.push_back(sb);
-  slots_[static_cast<size_t>(sb)].neighbors.push_back(sa);
-  return e;
+  return InsertEdge(sa, sb,
+                    Edge{std::min(ida, idb), std::max(ida, idb), 0.0, 0.0,
+                         false, kInvalidTxn});
 }
 
 const Wtpg::Edge* Wtpg::FindEdge(TxnId a, TxnId b) const {
@@ -540,25 +462,15 @@ std::vector<TxnId> Wtpg::InNeighbors(TxnId id) const {
 
 std::vector<std::pair<TxnId, TxnId>> Wtpg::UnorientedEdges() const {
   std::vector<std::pair<TxnId, TxnId>> result;
-  for (const EdgeBucket& bucket : edge_buckets_) {
-    if (bucket.key == kEmptyEdgeKey || bucket.edge.oriented) continue;
-    result.emplace_back(bucket.edge.a, bucket.edge.b);
-  }
+  edges_.ForEach([&](uint64_t, const Edge& edge) {
+    if (!edge.oriented) result.emplace_back(edge.a, edge.b);
+  });
   // The table iterates in hash order; keep the historical sorted contract.
   std::sort(result.begin(), result.end());
   return result;
 }
 
-size_t Wtpg::LongestEdgeProbe() const {
-  size_t longest = 0;
-  const size_t mask = edge_buckets_.size() - 1;
-  for (size_t idx = 0; idx < edge_buckets_.size(); ++idx) {
-    const uint64_t key = edge_buckets_[idx].key;
-    if (key == kEmptyEdgeKey) continue;
-    longest = std::max(longest, ((idx - BucketFor(key)) & mask) + 1);
-  }
-  return longest;
-}
+size_t Wtpg::LongestEdgeProbe() const { return edges_.LongestProbe(); }
 
 bool Wtpg::CheckInvariants() const {
   // Slot map <-> slab bijection and free-list integrity.
@@ -566,10 +478,7 @@ bool Wtpg::CheckInvariants() const {
   for (size_t s = 0; s < slots_.size(); ++s) {
     if (slots_[s].id == kInvalidTxn) continue;
     ++live;
-    auto it = slot_of_.find(slots_[s].id);
-    if (it == slot_of_.end() || it->second != static_cast<int32_t>(s)) {
-      return false;
-    }
+    if (SlotOrNull(slots_[s].id) != static_cast<int32_t>(s)) return false;
   }
   if (live != slot_of_.size()) return false;
   size_t free_count = 0;
@@ -581,19 +490,18 @@ bool Wtpg::CheckInvariants() const {
   }
   if (live + free_count != slots_.size()) return false;
   // Edge table: keys match live endpoints; normalization holds.
-  size_t edge_count = 0;
-  for (const EdgeBucket& bucket : edge_buckets_) {
-    if (bucket.key == kEmptyEdgeKey) continue;
-    ++edge_count;
-    const Edge& edge = bucket.edge;
+  std::vector<std::pair<uint64_t, Edge>> edges;
+  edges_.ForEach([&](uint64_t key, const Edge& edge) {
+    edges.emplace_back(key, edge);
+  });
+  for (const auto& [key, edge] : edges) {
     if (!HasNode(edge.a) || !HasNode(edge.b)) return false;
     if (edge.a >= edge.b) return false;
-    if (bucket.key != PackSlots(SlotOf(edge.a), SlotOf(edge.b))) return false;
+    if (key != PackSlots(SlotOf(edge.a), SlotOf(edge.b))) return false;
     if (edge.oriented && edge.from != edge.a && edge.from != edge.b) {
       return false;
     }
   }
-  if (edge_count != num_edges_) return false;
   // Adjacency lists consistent with edge states; in_w parallel to in and
   // carrying the oriented direction's weight.
   for (const Node& node : slots_) {
@@ -619,9 +527,8 @@ bool Wtpg::CheckInvariants() const {
     if (oriented_count != node.out.size() + node.in.size()) return false;
   }
   // Oriented subgraph must be acyclic.
-  for (const EdgeBucket& bucket : edge_buckets_) {
-    if (bucket.key == kEmptyEdgeKey || !bucket.edge.oriented) continue;
-    const Edge& edge = bucket.edge;
+  for (const auto& [key, edge] : edges) {
+    if (!edge.oriented) continue;
     const TxnId to = (edge.from == edge.a) ? edge.b : edge.a;
     if (HasPath(to, edge.from)) return false;
   }
@@ -629,9 +536,8 @@ bool Wtpg::CheckInvariants() const {
   // Sparse precedence mode maintains no closure (and its unoriented
   // leftovers from rolled-back speculation are legitimately connected).
   if (!sparse_precedence_) {
-    for (const EdgeBucket& bucket : edge_buckets_) {
-      if (bucket.key == kEmptyEdgeKey || bucket.edge.oriented) continue;
-      const Edge& edge = bucket.edge;
+    for (const auto& [key, edge] : edges) {
+      if (edge.oriented) continue;
       if (HasPath(edge.a, edge.b) || HasPath(edge.b, edge.a)) return false;
     }
   }

@@ -1,15 +1,14 @@
 #ifndef WTPG_SCHED_WTPG_WTPG_H_
 #define WTPG_SCHED_WTPG_WTPG_H_
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "model/types.h"
+#include "util/open_table.h"
 
 namespace wtpgsched {
 
@@ -73,13 +72,13 @@ inline constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
 // The marks, distances, epoch counter and scratch are mutable: Wtpg is
 // single-threaded by design (the simulator is sequential).
 //
-// Storage is dense: a TxnId maps (once, at the API boundary) to a slot in a
-// contiguous node slab recycled through a free list, every internal walk —
-// adjacency, reachability DFS, longest-path DP, orientation closure — runs
-// on 32-bit slot indices over contiguous memory, and edges live in an
-// open-addressed table keyed by the packed 64-bit slot pair. Saturated C2PL
-// runs grow this graph to hundreds of nodes, so the reachability paths keep
-// dedicated oriented adjacency lists.
+// Storage is dense: a TxnId maps (once, at the API boundary, through an
+// OpenTable) to a slot in a contiguous node slab recycled through a free
+// list, every internal walk — adjacency, reachability DFS, longest-path DP,
+// orientation closure — runs on 32-bit slot indices over contiguous memory,
+// and edges live in an OpenTable keyed by the packed 64-bit slot pair.
+// Saturated C2PL runs grow this graph to hundreds of nodes, so the
+// reachability paths keep dedicated oriented adjacency lists.
 class Wtpg {
  public:
   struct Edge {
@@ -134,9 +133,9 @@ class Wtpg {
   // Removes a node (at commit) and all its edges.
   void RemoveNode(TxnId id);
 
-  bool HasNode(TxnId id) const { return slot_of_.count(id) > 0; }
+  bool HasNode(TxnId id) const { return SlotOrNull(id) >= 0; }
   size_t num_nodes() const { return slot_of_.size(); }
-  size_t num_edges() const { return num_edges_; }
+  size_t num_edges() const { return edges_.size(); }
 
   // --- Weights ---
 
@@ -264,46 +263,35 @@ class Wtpg {
     mutable uint8_t dist_state = kDistInvalid;
   };
 
-  // One bucket of the open-addressed edge table (linear probing, power-of-
-  // two capacity, backward-shift deletion). The key packs the edge's two
-  // node slots, smaller slot in the high half; kEmptyEdgeKey marks a free
-  // bucket (unreachable for real keys: slots are < 2^31).
-  struct EdgeBucket {
-    uint64_t key = kEmptyEdgeKey;
-    Edge edge;
-  };
-  static constexpr uint64_t kEmptyEdgeKey = ~0ull;
-
+  // The edge table's key: the edge's two node slots, smaller slot in the
+  // high half (slots are < 2^31, so no key is the table's empty marker).
   static uint64_t PackSlots(int32_t sa, int32_t sb) {
     const uint32_t lo = static_cast<uint32_t>(sa < sb ? sa : sb);
     const uint32_t hi = static_cast<uint32_t>(sa < sb ? sb : sa);
     return (static_cast<uint64_t>(lo) << 32) | hi;
   }
 
-  // Fibonacci hashing: the bucket is the top log2(capacity) bits of the
-  // product, which mix every key bit. (The low bits of the product depend
-  // only on the low bits of the key — the larger slot alone — so a hub
-  // node's edges would all share one home bucket.)
-  size_t BucketFor(uint64_t key) const {
-    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >>
-                               (64 - std::countr_zero(edge_buckets_.size())));
-  }
-
   // Slot of `id`; CHECK-fails when absent.
   int32_t SlotOf(TxnId id) const;
   // Slot of `id`, or -1 when absent.
-  int32_t SlotOrNull(TxnId id) const;
+  int32_t SlotOrNull(TxnId id) const {
+    const int32_t* slot = slot_of_.Find(static_cast<uint64_t>(id));
+    return slot == nullptr ? -1 : *slot;
+  }
 
-  const Edge* FindEdgeBySlots(int32_t sa, int32_t sb) const;
-  Edge* MutableEdgeBySlots(int32_t sa, int32_t sb);
-  // Inserts an (empty) edge for the slot pair; CHECK-fails on duplicates.
-  Edge* InsertEdge(int32_t sa, int32_t sb);
+  const Edge* FindEdgeBySlots(int32_t sa, int32_t sb) const {
+    return edges_.Find(PackSlots(sa, sb));
+  }
+  Edge* MutableEdgeBySlots(int32_t sa, int32_t sb) {
+    return edges_.Find(PackSlots(sa, sb));
+  }
+  // Inserts the edge (a, b) between slots sa and sb, with a < b, and links
+  // the two slots as neighbors; CHECK-fails on duplicates.
+  Edge* InsertEdge(int32_t sa, int32_t sb, const Edge& edge);
   // Sparse-mode on-demand edge: returns the (sa, sb) edge, materializing an
   // unoriented zero-weight one when absent.
   // Outside sparse mode the edge must already exist.
   Edge* EnsureEdgeForOrient(int32_t sa, int32_t sb);
-  void EraseEdge(int32_t sa, int32_t sb);
-  void GrowEdgeTable();
 
   // Marks the edge oriented, updates adjacency, and (if non-null) records
   // the mark into *journal. The edge must be unoriented. Does NOT
@@ -353,10 +341,10 @@ class Wtpg {
   // warmed graph adds and removes nodes without touching the heap.
   std::vector<Node> slots_;
   int32_t free_head_ = -1;
-  // The only id-keyed lookup; every internal walk uses slots.
-  std::unordered_map<TxnId, int32_t> slot_of_;
-  std::vector<EdgeBucket> edge_buckets_;  // Power-of-two sized; may be empty.
-  size_t num_edges_ = 0;
+  // The only id-keyed lookup (TxnId as uint64_t; kInvalidTxn is the
+  // table's empty marker); every internal walk uses slots.
+  OpenTable<uint64_t, int32_t> slot_of_;
+  OpenTable<uint64_t, Edge> edges_;  // Keyed by PackSlots.
   bool sparse_precedence_ = false;
   // Epoch source for MarkReachable and count of nodes whose memoized
   // distance is currently valid (fast empty test for invalidation).

@@ -400,5 +400,12 @@ TEST(ConfigJsonTest, RejectsOutOfRangeIntegers) {
   EXPECT_EQ(LoadError(R"({"run":{"admission_retry_limit":2147483647}})"), "");
 }
 
+// 0 means "no limit"; a negative limit used to load and mean the same.
+TEST(ConfigJsonTest, RejectsNegativeAdmissionRetryLimit) {
+  EXPECT_EQ(LoadError(R"({"run":{"admission_retry_limit":-3}})"),
+            "admission_retry_limit must be >= 0");
+  EXPECT_EQ(LoadError(R"({"run":{"admission_retry_limit":0}})"), "");
+}
+
 }  // namespace
 }  // namespace wtpgsched

@@ -16,7 +16,6 @@ TEST(GowTest, CostsMatchTable1) {
   Transaction t1 = MakeXTxn(1, {0});
   EXPECT_EQ(sched.StartupDecisionCost(t1), MsToTime(5.0));
   EXPECT_EQ(sched.LockDecisionCost(t1, 0), MsToTime(30.0));
-  EXPECT_TRUE(sched.traits().costly_admission);
 }
 
 TEST(GowTest, AdmitsWhileChainForm) {

@@ -56,21 +56,6 @@ TEST(TelemetryExportTest, WideCsv) {
   std::remove(path.c_str());
 }
 
-TEST(TelemetryExportTest, JsonlHeaderAndRows) {
-  const TelemetryStore store = SmallStore();
-  const std::string path = UniqueTempPath("telemetry_test.jsonl");
-  ASSERT_TRUE(WriteTelemetryJsonl(store, path).ok());
-  std::ifstream in(path);
-  std::string header;
-  std::string row;
-  std::getline(in, header);
-  std::getline(in, row);
-  EXPECT_NE(header.find("\"schema\":\"wtpg-telemetry/1\""), std::string::npos);
-  EXPECT_NE(header.find("\"sched.active\""), std::string::npos);
-  EXPECT_NE(row.find("\"t\":10000000"), std::string::npos);
-  std::remove(path.c_str());
-}
-
 // Gauge tracks merged into the JSONL trace survive a read back through the
 // trace reader: names, sample times, and values round-trip.
 TEST(TelemetryExportTest, TraceGaugeRoundTrip) {

@@ -158,6 +158,51 @@ TEST(TraceExportTest, JsonlWriteReadRoundTrip) {
   std::remove(path.c_str());
 }
 
+// Integer fields are read from the number's text: a double holds integers
+// exactly only up to 2^53, so 2^53 + 1 would read back as 2^53.
+TEST(TraceExportTest, TimesAbove2To53ReadBackExactly) {
+  constexpr SimTime kTime = (SimTime{1} << 53) + 1;
+  constexpr TxnId kTxn = (TxnId{1} << 60) + 3;
+  const std::vector<TraceEvent> events = {
+      {.time = kTime, .type = TraceEventType::kArrive, .txn = kTxn},
+      {.time = kSimTimeMax, .type = TraceEventType::kCommit, .txn = kTxn}};
+  const std::vector<GaugeTrack> gauges = {{"sched.active", {{kTime, 2.5}}}};
+  const std::vector<std::pair<std::string, uint64_t>> counters = {
+      {"commits", (uint64_t{1} << 53) + 1}};
+  const std::string path = UniqueTempPath("big_times.jsonl");
+  ASSERT_TRUE(
+      WriteJsonlTrace(events, TraceMeta{}, counters, 0, path, &gauges).ok());
+  ParsedTrace parsed;
+  const Status s = ReadJsonlTrace(path, &parsed);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(parsed.events.size(), 2u);
+  EXPECT_EQ(parsed.events[0].time, kTime);
+  EXPECT_EQ(parsed.events[0].txn, kTxn);
+  EXPECT_EQ(parsed.events[1].time, kSimTimeMax);
+  ASSERT_EQ(parsed.gauge_samples.size(), 1u);
+  EXPECT_EQ(parsed.gauge_samples[0].time, kTime);
+  ASSERT_EQ(parsed.footer_counters.size(), 1u);
+  EXPECT_EQ(parsed.footer_counters[0].second, (uint64_t{1} << 53) + 1);
+  StatusOr<TraceEvent> line = ParseEventJson(EventToJson(events[0]));
+  ASSERT_TRUE(line.ok());
+  EXPECT_EQ(line->time, kTime);
+  std::remove(path.c_str());
+}
+
+// A value its field cannot hold is an error, not a silent wrap (file
+// 4294967296 used to read back as file 0).
+TEST(TraceExportTest, NarrowFieldsRejectValuesTheyCannotHold) {
+  EXPECT_FALSE(
+      ParseEventJson("{\"t\":1,\"type\":\"arrive\",\"file\":4294967296}")
+          .ok());
+  EXPECT_FALSE(
+      ParseEventJson("{\"t\":1,\"type\":\"arrive\",\"step\":-2147483649}")
+          .ok());
+  EXPECT_TRUE(
+      ParseEventJson("{\"t\":1,\"type\":\"arrive\",\"file\":2147483647}")
+          .ok());
+}
+
 TEST(TraceExportTest, MissingFileIsNotFound) {
   ParsedTrace parsed;
   EXPECT_EQ(

@@ -49,6 +49,25 @@ TEST(PatternTest, InstantiateExp1DistinctFiles) {
   }
 }
 
+// At theta 50 nearly every draw is the pool's first file, so a second
+// distinct variable clashes 10,000 times in a row; it then binds the first
+// file of the pool that no earlier distinct variable holds.
+TEST(PatternTest, SteepZipfFallsBackToFirstFreeFile) {
+  const Pattern p1 = Pattern::Experiment1(16).WithZipf(50.0);
+  const Pattern p2 = Pattern::Experiment2().WithZipf(50.0);
+  Rng rng(1);
+  for (int trial = 0; trial < 5; ++trial) {
+    const auto steps = p1.Instantiate(&rng, 1, ErrorModel{0.0});
+    EXPECT_EQ(steps[0].file, 0);  // F1: the hottest file.
+    EXPECT_EQ(steps[1].file, 1);  // F2: the first file F1 does not hold.
+    EXPECT_EQ(steps[3].file, 1);
+    const auto exp2 = p2.Instantiate(&rng, 1, ErrorModel{0.0});
+    EXPECT_EQ(exp2[0].file, 0);  // B, alone in its pool.
+    EXPECT_EQ(exp2[1].file, 8);  // F1: the hot pool's first file.
+    EXPECT_EQ(exp2[2].file, 9);  // F2: the next free one.
+  }
+}
+
 TEST(PatternTest, InstantiateExp1Costs) {
   const Pattern p = Pattern::Experiment1(16);
   Rng rng(2);

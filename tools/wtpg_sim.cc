@@ -84,31 +84,32 @@ int main(int argc, char** argv) {
                  flags.GetString("scheduler").c_str());
     return 2;
   }
-  if (use("num-files")) {
-    config.machine.num_files = static_cast<int>(flags.GetInt("num-files"));
+  // Integer flags land in narrower fields: each is range-checked first.
+  const auto int_flag = [&](const char* name, auto* field) {
+    return !use(name) || GetIntFlag(flags, name, field);
+  };
+  int mpl = 0;
+  int num_seeds = 1;
+  int jobs = 0;
+  if (!int_flag("num-files", &config.machine.num_files) ||
+      !int_flag("num-nodes", &config.machine.num_nodes) ||
+      !int_flag("dd", &config.machine.dd) ||
+      !int_flag("low-k", &config.low_k) ||
+      !int_flag("seed", &config.run.seed) ||
+      !int_flag("max-arrivals", &config.workload.max_arrivals) ||
+      !int_flag("batch-mpl", &config.machine.batch_mpl) ||
+      !GetIntFlag(flags, "mpl", &mpl) ||
+      !GetIntFlag(flags, "seeds", &num_seeds) ||
+      !GetIntFlag(flags, "jobs", &jobs)) {
+    return 2;
   }
-  if (use("num-nodes")) {
-    config.machine.num_nodes = static_cast<int>(flags.GetInt("num-nodes"));
-  }
-  if (use("dd")) config.machine.dd = static_cast<int>(flags.GetInt("dd"));
   if (use("rate")) config.workload.arrival_rate_tps = flags.GetDouble("rate");
   if (use("horizon-ms")) config.run.horizon_ms = flags.GetDouble("horizon-ms");
   if (use("warmup-ms")) config.run.warmup_ms = flags.GetDouble("warmup-ms");
   if (use("sigma")) config.workload.error_sigma = flags.GetDouble("sigma");
-  if (use("low-k")) config.low_k = static_cast<int>(flags.GetInt("low-k"));
-  if (use("seed")) config.run.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  if (use("max-arrivals")) {
-    config.workload.max_arrivals =
-        static_cast<uint64_t>(flags.GetInt("max-arrivals"));
-  }
-  if (use("mpl") && flags.GetInt("mpl") > 0) {
-    config.machine.mpl = static_cast<int>(flags.GetInt("mpl"));
-  }
+  if (use("mpl") && mpl > 0) config.machine.mpl = mpl;
   if (use("zipf-theta")) {
     config.workload.zipf_theta = flags.GetDouble("zipf-theta");
-  }
-  if (use("batch-mpl")) {
-    config.machine.batch_mpl = static_cast<int>(flags.GetInt("batch-mpl"));
   }
   if (use("tail") && flags.GetBool("tail")) config.run.tail_metrics = true;
   if (use("tail-sketch") && flags.GetBool("tail-sketch")) {
@@ -129,14 +130,14 @@ int main(int argc, char** argv) {
   }
   // A telemetry artifact requested without --telemetry-ms samples every 10 s.
   const std::string telemetry_csv = flags.GetString("telemetry-csv");
-  const std::string telemetry_jsonl = flags.GetString("telemetry-jsonl");
-  if (flags.GetDouble("telemetry-ms") > 0.0 || !telemetry_csv.empty() ||
-      !telemetry_jsonl.empty()) {
+  if (flags.GetDouble("telemetry-ms") > 0.0 || !telemetry_csv.empty()) {
     config.run.telemetry_sample_ms = flags.GetDouble("telemetry-ms") > 0.0
                                          ? flags.GetDouble("telemetry-ms")
                                          : 10'000.0;
-    config.run.telemetry_capacity =
-        static_cast<uint64_t>(flags.GetInt("telemetry-capacity"));
+    if (!GetIntFlag(flags, "telemetry-capacity",
+                    &config.run.telemetry_capacity)) {
+      return 2;
+    }
   }
   Status status = config.Validate();
   if (!status.ok()) {
@@ -166,20 +167,16 @@ int main(int argc, char** argv) {
   // the cross-seed averages. The per-run artifacts below (trace, DOT
   // snapshot, telemetry series, serializability log) are single-run
   // concepts.
-  const int num_seeds = static_cast<int>(flags.GetInt("seeds"));
   if (num_seeds > 1) {
     if (!trace_jsonl.empty() || !trace_chrome.empty() ||
         !flags.GetString("dot-out").empty() || !telemetry_csv.empty() ||
-        !telemetry_jsonl.empty() || flags.GetBool("verify")) {
+        flags.GetBool("verify")) {
       std::fprintf(stderr,
                    "--seeds > 1 is incompatible with --trace-*/--dot-out/"
-                   "--telemetry-csv/--telemetry-jsonl/--verify (single-run "
-                   "outputs)\n");
+                   "--telemetry-csv/--verify (single-run outputs)\n");
       return 2;
     }
-    const AggregateResult agg =
-        RunAggregate(config, pattern, num_seeds,
-                     static_cast<int>(flags.GetInt("jobs")));
+    const AggregateResult agg = RunAggregate(config, pattern, num_seeds, jobs);
     if (flags.GetBool("json")) {
       std::printf("%s\n", agg.ToJson().c_str());
       return 0;
@@ -257,27 +254,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!telemetry_csv.empty() || !telemetry_jsonl.empty()) {
+  if (!telemetry_csv.empty()) {
     if (machine.telemetry() == nullptr) {
       std::fprintf(stderr, "telemetry: sampling is disabled\n");
       return 2;
     }
-    const TelemetryStore& store = machine.telemetry()->store();
-    if (!telemetry_csv.empty()) {
-      const Status written = WriteTelemetryCsv(store, telemetry_csv);
-      if (!written.ok()) {
-        std::fprintf(stderr, "telemetry-csv: %s\n",
-                     written.ToString().c_str());
-        return 1;
-      }
-    }
-    if (!telemetry_jsonl.empty()) {
-      const Status written = WriteTelemetryJsonl(store, telemetry_jsonl);
-      if (!written.ok()) {
-        std::fprintf(stderr, "telemetry-jsonl: %s\n",
-                     written.ToString().c_str());
-        return 1;
-      }
+    const Status written =
+        WriteTelemetryCsv(machine.telemetry()->store(), telemetry_csv);
+    if (!written.ok()) {
+      std::fprintf(stderr, "telemetry-csv: %s\n", written.ToString().c_str());
+      return 1;
     }
   }
 

@@ -80,15 +80,38 @@ int main(int argc, char** argv) {
                  flags.GetString("scheduler").c_str());
     return 2;
   }
-  if (use("num-files")) {
-    config.machine.num_files = static_cast<int>(flags.GetInt("num-files"));
+  // Integer flags land in narrower fields: each is range-checked first.
+  const auto int_flag = [&](const char* name, auto* field) {
+    return !use(name) || GetIntFlag(flags, name, field);
+  };
+  int seeds = 1;
+  int jobs = 0;
+  int iters = 0;
+  int ow_files = 0;
+  int batch_mpl = 0;
+  if (!int_flag("num-files", &config.machine.num_files) ||
+      !int_flag("dd", &config.machine.dd) ||
+      !int_flag("seed", &config.run.seed) ||
+      !GetIntFlag(flags, "seeds", &seeds) ||
+      !GetIntFlag(flags, "jobs", &jobs) ||
+      !GetIntFlag(flags, "iters", &iters) ||
+      !GetIntFlag(flags, "ow-files", &ow_files) ||
+      !GetIntFlag(flags, "batch-mpl", &batch_mpl)) {
+    return 2;
   }
-  if (use("dd")) config.machine.dd = static_cast<int>(flags.GetInt("dd"));
   if (use("sigma")) config.workload.error_sigma = flags.GetDouble("sigma");
   if (use("horizon-ms")) config.run.horizon_ms = flags.GetDouble("horizon-ms");
-  if (use("seed")) config.run.seed = static_cast<uint64_t>(flags.GetInt("seed"));
   if (use("rate")) config.workload.arrival_rate_tps = flags.GetDouble("rate");
   ApplyFaultFlags(flags, &config.fault);
+  // The overlaid config, and below the config of every swept value, is
+  // validated before anything runs.
+  const auto invalid = [](const SimConfig& c) {
+    const Status status = c.Validate();
+    if (status.ok()) return false;
+    std::fprintf(stderr, "bad configuration: %s\n", status.ToString().c_str());
+    return true;
+  };
+  if (invalid(config)) return 2;
 
   Pattern pattern = flags.GetString("workload") == "exp2"
                         ? Pattern::Experiment2()
@@ -104,8 +127,6 @@ int main(int argc, char** argv) {
     pattern = std::move(parsed).value();
   }
 
-  const int seeds = static_cast<int>(flags.GetInt("seeds"));
-  const int jobs = static_cast<int>(flags.GetInt("jobs"));
   const bool json = flags.GetBool("json");
   const std::string mode = flags.GetString("mode");
   TablePrinter* table = nullptr;
@@ -121,6 +142,11 @@ int main(int argc, char** argv) {
     if (rates.empty()) {
       std::fprintf(stderr, "--rates is empty\n");
       return 2;
+    }
+    for (double rate : rates) {
+      SimConfig point = config;
+      point.workload.arrival_rate_tps = rate;
+      if (invalid(point)) return 2;
     }
     static TablePrinter t({"lambda(tps)", "mean RT(s)", "median(s)",
                            "tput(tps)", "blocked", "delayed", "restarts",
@@ -138,8 +164,8 @@ int main(int argc, char** argv) {
     table = &t;
   } else if (mode == "rt-target") {
     const OperatingPoint op = FindRateForResponseTime(
-        config, pattern, flags.GetDouble("target-s"), 0.05, 1.6, seeds,
-        static_cast<int>(flags.GetInt("iters")), 2.5, jobs);
+        config, pattern, flags.GetDouble("target-s"), 0.05, 1.6, seeds, iters,
+        2.5, jobs);
     static TablePrinter t(
         {"lambda(tps)", "mean RT(s)", "tput(tps)", "seeds", "converged"});
     t.AddRow({FmtTps(op.lambda_tps), FmtSeconds(op.mean_response_s),
@@ -172,6 +198,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--fault-mttfs-ms is empty\n");
       return 2;
     }
+    for (double mttf : mttfs) {
+      SimConfig point = config;
+      point.fault.dpn_mttf_ms = mttf;
+      if (invalid(point)) return 2;
+    }
     static TablePrinter t({"mttf(s)", "mean RT(s)", "tput(tps)",
                            "completions", "restarts", "seeds"});
     for (const FaultSweepPoint& p :
@@ -191,7 +222,7 @@ int main(int argc, char** argv) {
     // flag is ignored here, like --workload/--pattern: the mode owns the
     // workload). Tail percentiles come from the bounded-memory P2 sketch.
     OpenWorldSpec spec;
-    spec.num_files = static_cast<int>(flags.GetInt("ow-files"));
+    spec.num_files = ow_files;
     spec.zipf_theta = flags.GetDouble("ow-theta");
     spec.interactive_share = flags.GetDouble("ow-share");
     BenchOptions opts;
@@ -203,8 +234,7 @@ int main(int argc, char** argv) {
                            "int p50(s)", "int p95(s)", "int p99(s)",
                            "batch p99(s)", "seeds"});
     for (const OpenWorldRun& run :
-         RunOpenWorld(spec, config.workload.arrival_rate_tps,
-                      static_cast<int>(flags.GetInt("batch-mpl")),
+         RunOpenWorld(spec, config.workload.arrival_rate_tps, batch_mpl,
                       /*sketch=*/true, opts)) {
       AggregateResult::ClassAgg inter, batch;
       for (const AggregateResult::ClassAgg& cs : run.result.per_class) {
