@@ -18,9 +18,8 @@
 #include "driver/report.h"
 #include "driver/sweep.h"
 #include "machine/config.h"
-#include "util/flags.h"
+#include "util/common_flags.h"
 #include "util/json_writer.h"
-#include "util/progress.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -67,11 +66,7 @@ int main(int argc, char** argv) {
   flags.AddDouble("horizon-ms", BenchOptions{}.horizon_ms,
                   "simulated milliseconds per replica");
   flags.AddString("out", "BENCH_harness.json", "result file");
-  flags.AddBool("progress", false,
-                "show a replicas-completed status line on stderr (only when "
-                "stderr is a TTY)");
-  flags.AddBool("progress-force", false,
-                "like --progress but writes even when stderr is not a TTY");
+  AddProgressFlags(flags);
   flags.AddBool("help", false, "print usage");
   const Status status = flags.Parse(argc, argv);
   if (!status.ok()) {
@@ -83,11 +78,7 @@ int main(int argc, char** argv) {
     std::printf("%s", flags.Help().c_str());
     return 0;
   }
-  if (flags.GetBool("progress-force")) {
-    SetProgressMode(ProgressMode::kForce);
-  } else if (flags.GetBool("progress")) {
-    SetProgressMode(ProgressMode::kAuto);
-  }
+  ApplyProgressFlags(flags);
 
   const std::vector<double> rates = {0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4};
   const int seeds = static_cast<int>(flags.GetInt("seeds"));

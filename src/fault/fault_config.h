@@ -1,14 +1,13 @@
 #ifndef WTPG_SCHED_FAULT_FAULT_CONFIG_H_
 #define WTPG_SCHED_FAULT_FAULT_CONFIG_H_
 
-#include "util/status.h"
-
 namespace wtpgsched {
 
-// The `fault` section of SimConfig: a declarative description of the node
-// churn a run should suffer. All rates default to zero, which starts no
-// fault source — a zero-fault run is byte-identical to a build without the
-// fault layer (the differential suite asserts this).
+// The `fault` section of SimConfig (machine/config.h, whose Validate checks
+// it): a declarative description of the node churn a run should suffer.
+// All rates default to zero, which starts no fault source — a zero-fault
+// run is byte-identical to a build without the fault layer (the
+// differential suite asserts this).
 //
 // Each source draws its events one at a time from its own RNG stream,
 // forked from the replica's seed (see Machine::StartFaultSources), so the
@@ -59,8 +58,6 @@ struct FaultConfig {
     return dpn_mttf_ms > 0.0 || straggler_mtbf_ms > 0.0 ||
            abort_rate_per_s > 0.0;
   }
-
-  Status Validate() const;
 };
 
 }  // namespace wtpgsched

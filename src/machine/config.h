@@ -141,7 +141,8 @@ struct SimConfig {
 
   // One JSON object with a nested object per section — the reproducibility
   // artifact behind --config. FromJson accepts partial files (absent keys
-  // keep their defaults) and rejects unknown keys.
+  // keep their defaults) and rejects unknown keys. Doubles are written in
+  // their shortest form that reads back exactly.
   std::string ToJson() const;
   static StatusOr<SimConfig> FromJson(const std::string& json);
   // Reads and parses a config file (the --config flag on the tools).
@@ -150,6 +151,76 @@ struct SimConfig {
   SimTime horizon() const { return MsToTime(run.horizon_ms); }
   SimTime warmup() const { return MsToTime(run.warmup_ms); }
 };
+
+// The one list of SimConfig's fields, in the order of its JSON form. Calls
+// visit(section, key, flag, field) for each field of `c` (a SimConfig or a
+// const one): `section` is the JSON object holding the field ("" for the
+// top-level scheduler fields), `key` its JSON key, and `flag` the tools'
+// flag that sets the field to its value, "" where none does (wtpg_sim
+// applies --mpl, --tail, --tail-sketch and the --trace-* / --telemetry-*
+// flags itself: each means more than a plain value). The walk stops at,
+// and returns false after, the first visit that returns false. ToJson,
+// FromJson, Validate's finiteness checks and LoadConfig
+// (util/common_flags.h) all read their fields from here.
+template <typename Config, typename Visit>
+bool ForEachField(Config& c, Visit&& visit) {
+  auto& m = c.machine;
+  auto& k = c.costs;
+  auto& w = c.workload;
+  auto& r = c.run;
+  auto& f = c.fault;
+  return visit("machine", "num_nodes", "num-nodes", m.num_nodes) &&
+         visit("machine", "num_files", "num-files", m.num_files) &&
+         visit("machine", "dd", "dd", m.dd) &&
+         visit("machine", "mpl", "", m.mpl) &&
+         visit("machine", "quantum_objects", "", m.quantum_objects) &&
+         visit("machine", "batch_mpl", "batch-mpl", m.batch_mpl) &&
+         visit("costs", "obj_time_ms", "", k.obj_time_ms) &&
+         visit("costs", "msg_time_ms", "", k.msg_time_ms) &&
+         visit("costs", "sot_time_ms", "", k.sot_time_ms) &&
+         visit("costs", "cot_time_ms", "", k.cot_time_ms) &&
+         visit("costs", "dd_time_ms", "", k.dd_time_ms) &&
+         visit("costs", "kwtpg_time_ms", "", k.kwtpg_time_ms) &&
+         visit("costs", "chain_time_ms", "", k.chain_time_ms) &&
+         visit("costs", "top_time_ms", "", k.top_time_ms) &&
+         visit("workload", "arrival_rate_tps", "rate", w.arrival_rate_tps) &&
+         visit("workload", "error_sigma", "sigma", w.error_sigma) &&
+         visit("workload", "max_arrivals", "max-arrivals", w.max_arrivals) &&
+         visit("workload", "zipf_theta", "zipf-theta", w.zipf_theta) &&
+         visit("run", "horizon_ms", "horizon-ms", r.horizon_ms) &&
+         visit("run", "warmup_ms", "warmup-ms", r.warmup_ms) &&
+         visit("run", "retry_fallback_ms", "", r.retry_fallback_ms) &&
+         visit("run", "admission_retry_limit", "", r.admission_retry_limit) &&
+         visit("run", "restart_delay_ms", "", r.restart_delay_ms) &&
+         visit("run", "telemetry_sample_ms", "", r.telemetry_sample_ms) &&
+         visit("run", "telemetry_capacity", "", r.telemetry_capacity) &&
+         visit("run", "trace_enabled", "", r.trace_enabled) &&
+         visit("run", "trace_capacity", "", r.trace_capacity) &&
+         visit("run", "tail_metrics", "", r.tail_metrics) &&
+         visit("run", "tail_sketch", "", r.tail_sketch) &&
+         visit("run", "seed", "seed", r.seed) &&
+         visit("fault", "dpn_mttf_ms", "fault-mttf-ms", f.dpn_mttf_ms) &&
+         visit("fault", "dpn_mttr_ms", "fault-mttr-ms", f.dpn_mttr_ms) &&
+         visit("fault", "straggler_mtbf_ms", "fault-straggler-mtbf-ms",
+               f.straggler_mtbf_ms) &&
+         visit("fault", "straggler_duration_ms", "fault-straggler-duration-ms",
+               f.straggler_duration_ms) &&
+         visit("fault", "straggler_factor", "fault-straggler-factor",
+               f.straggler_factor) &&
+         visit("fault", "abort_rate_per_s", "fault-abort-rate",
+               f.abort_rate_per_s) &&
+         visit("fault", "backoff_base_ms", "fault-backoff-base-ms",
+               f.backoff_base_ms) &&
+         visit("fault", "backoff_max_ms", "fault-backoff-max-ms",
+               f.backoff_max_ms) &&
+         visit("fault", "backoff_jitter", "fault-backoff-jitter",
+               f.backoff_jitter) &&
+         visit("", "scheduler", "scheduler", c.scheduler) &&
+         visit("", "low_k", "low-k", c.low_k) &&
+         visit("", "low_charge_per_eval", "", c.low_charge_per_eval) &&
+         visit("", "low_lb_weight", "", c.low_lb_weight) &&
+         visit("", "opt_validate_writes", "", c.opt_validate_writes);
+}
 
 }  // namespace wtpgsched
 

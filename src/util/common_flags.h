@@ -3,10 +3,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 
+#include "machine/config.h"
 #include "util/flags.h"
 #include "util/string_util.h"
 
@@ -14,14 +17,15 @@ namespace wtpgsched {
 
 // Flag sets shared by the command-line tools (wtpg_sim, wtpg_sweep), so
 // both spell them identically and FlagParser::Help() documents them once.
-// Tools call the Add* helpers before any tool-specific flags, then
-// HandleStandardFlags() right after declaring everything.
+// Tools call the Add* helpers before any tool-specific flags,
+// HandleStandardFlags() right after declaring everything, then LoadConfig()
+// for the run's SimConfig.
 
 // --config, --scheduler, --seed, --seeds, --jobs, --json, --log-level,
 // --help.
 void AddCommonToolFlags(FlagParser& flags);
 
-// --trace-jsonl, --trace-chrome, --trace-capacity.
+// --trace-jsonl, --trace-capacity.
 void AddTraceFlags(FlagParser& flags);
 
 // --telemetry-ms, --telemetry-capacity, --telemetry-csv.
@@ -29,6 +33,10 @@ void AddTelemetryFlags(FlagParser& flags);
 
 // --progress, --progress-force.
 void AddProgressFlags(FlagParser& flags);
+
+// The --fault-* flags, one per field of the `fault` config section, with
+// FaultConfig's defaults.
+void AddFaultFlags(FlagParser& flags);
 
 // Sets the process-wide progress mode from the parsed --progress /
 // --progress-force flags (see util/progress.h).
@@ -58,6 +66,16 @@ bool GetIntFlag(const FlagParser& flags, const std::string& name, T* out) {
   *out = static_cast<T>(value);
   return true;
 }
+
+// Builds the tool's config: loads --config when given, then overlays every
+// declared flag that ForEachField (machine/config.h) names, except those in
+// `own_flags`, which the tool reads itself. Without a file every such flag
+// applies, so the tool's flag defaults hold; over a file only the explicitly
+// set ones do. Integers go through GetIntFlag and --scheduler through
+// ParseSchedulerKind. On a bad file or flag prints the error and returns
+// false; the tool then exits 2. The result is not validated.
+bool LoadConfig(const FlagParser& flags, SimConfig* config,
+                std::initializer_list<std::string_view> own_flags = {});
 
 }  // namespace wtpgsched
 

@@ -34,6 +34,9 @@ class FlagParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  // True when the flag is declared.
+  bool Has(const std::string& name) const { return flags_.count(name) > 0; }
+
   // True when the flag appeared on the command line (as opposed to holding
   // its default). Lets tools overlay explicit flags on a --config file.
   bool WasSet(const std::string& name) const;

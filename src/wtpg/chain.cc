@@ -254,34 +254,4 @@ StatusOr<ChainPlan> OptimizeChainOf(const Wtpg& g, TxnId id) {
   return OptimizeChain(g, ChainContaining(g, id));
 }
 
-double BruteForceOptimalCriticalPath(const Wtpg& g,
-                                     const std::vector<TxnId>& chain) {
-  // Collect undetermined chain edges.
-  std::vector<std::pair<TxnId, TxnId>> free_edges;
-  for (size_t i = 0; i + 1 < chain.size(); ++i) {
-    const Wtpg::Edge* e = g.FindEdge(chain[i], chain[i + 1]);
-    WTPG_CHECK(e != nullptr);
-    if (!e->oriented) free_edges.emplace_back(chain[i], chain[i + 1]);
-  }
-  const size_t n = free_edges.size();
-  WTPG_CHECK_LE(n, 20u) << "brute force limited to small chains";
-  double best = kInfiniteCost;
-  for (uint64_t mask = 0; mask < (1ULL << n); ++mask) {
-    Wtpg copy = g;
-    bool feasible = true;
-    for (size_t i = 0; i < n; ++i) {
-      const bool fwd = (mask >> i) & 1;
-      const TxnId from = fwd ? free_edges[i].first : free_edges[i].second;
-      const TxnId to = fwd ? free_edges[i].second : free_edges[i].first;
-      if (!copy.TryOrient(from, to)) {
-        feasible = false;
-        break;
-      }
-    }
-    if (!feasible) continue;
-    best = std::min(best, copy.CriticalPath());
-  }
-  return best;
-}
-
 }  // namespace wtpgsched

@@ -58,13 +58,6 @@ StatusOr<ChainPlan> OptimizeChain(const Wtpg& g,
 // Convenience: optimal plan for the chain containing `id`.
 StatusOr<ChainPlan> OptimizeChainOf(const Wtpg& g, TxnId id);
 
-// Reference implementation for testing: enumerates all feasible orientations
-// of the chain's undetermined edges and returns the minimal critical path
-// (computed via Wtpg::CriticalPath on a clone restricted to this chain's
-// orientations). Exponential; test-only.
-double BruteForceOptimalCriticalPath(const Wtpg& g,
-                                     const std::vector<TxnId>& chain);
-
 }  // namespace wtpgsched
 
 #endif  // WTPG_SCHED_WTPG_CHAIN_H_

@@ -379,16 +379,6 @@ bool Wtpg::TryOrient(TxnId from, TxnId to) {
   return OrientBatch(from, {to}, &journal);  // Keep on success.
 }
 
-bool Wtpg::CanOrient(TxnId from, TxnId to) {
-  const Edge* e = FindEdge(from, to);
-  if (e == nullptr) return false;
-  if (e->oriented) return e->from == from;
-  OrientJournal journal;
-  const bool ok = OrientBatch(from, {to}, &journal);
-  Rollback(&journal);
-  return ok;
-}
-
 double Wtpg::CriticalPath() const {
   if (slot_of_.empty()) return 0.0;
   double critical = 0.0;

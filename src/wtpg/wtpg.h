@@ -158,10 +158,6 @@ class Wtpg {
   // is already from -> to is a no-op returning true.
   bool TryOrient(TxnId from, TxnId to);
 
-  // Would TryOrient(from, to) succeed? Logically const: speculates in place
-  // and rolls back before returning.
-  bool CanOrient(TxnId from, TxnId to);
-
   // Orients from -> to for every target, with closure, recording every edge
   // marked into *journal (appended). On failure (cycle) the orientations
   // recorded by *this call* are rolled back and the graph is unchanged.

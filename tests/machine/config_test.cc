@@ -233,39 +233,39 @@ TEST(ConfigTest, RejectsNonFiniteValues) {
 }
 
 TEST(FaultConfigTest, DisabledByDefault) {
-  FaultConfig f;
-  EXPECT_FALSE(f.enabled());
-  EXPECT_TRUE(f.Validate().ok());
+  SimConfig c;
+  EXPECT_FALSE(c.fault.enabled());
+  EXPECT_TRUE(c.Validate().ok());
 }
 
 TEST(FaultConfigTest, ValidateRejectsBadValues) {
-  FaultConfig f;
-  f.dpn_mttf_ms = 1000;
-  f.dpn_mttr_ms = 0;
-  EXPECT_FALSE(f.Validate().ok());
+  SimConfig c;
+  c.fault.dpn_mttf_ms = 1000;
+  c.fault.dpn_mttr_ms = 0;
+  EXPECT_FALSE(c.Validate().ok());
 
-  f = FaultConfig{};
-  f.straggler_mtbf_ms = 1000;
-  f.straggler_factor = 0.5;
-  EXPECT_FALSE(f.Validate().ok());
+  c = SimConfig{};
+  c.fault.straggler_mtbf_ms = 1000;
+  c.fault.straggler_factor = 0.5;
+  EXPECT_FALSE(c.Validate().ok());
 
-  f = FaultConfig{};
-  f.backoff_jitter = 1.0;
-  EXPECT_FALSE(f.Validate().ok());
+  c = SimConfig{};
+  c.fault.backoff_jitter = 1.0;
+  EXPECT_FALSE(c.Validate().ok());
 
-  f = FaultConfig{};
-  f.backoff_base_ms = 2000;
-  f.backoff_max_ms = 1000;
-  EXPECT_FALSE(f.Validate().ok());
+  c = SimConfig{};
+  c.fault.backoff_base_ms = 2000;
+  c.fault.backoff_max_ms = 1000;
+  EXPECT_FALSE(c.Validate().ok());
 
-  f = FaultConfig{};
-  f.dpn_mttf_ms = 60'000;
-  f.dpn_mttr_ms = 20'000;
-  f.straggler_mtbf_ms = 120'000;
-  f.straggler_duration_ms = 30'000;
-  f.straggler_factor = 4.0;
-  f.abort_rate_per_s = 0.05;
-  EXPECT_TRUE(f.Validate().ok());
+  c = SimConfig{};
+  c.fault.dpn_mttf_ms = 60'000;
+  c.fault.dpn_mttr_ms = 20'000;
+  c.fault.straggler_mtbf_ms = 120'000;
+  c.fault.straggler_duration_ms = 30'000;
+  c.fault.straggler_factor = 4.0;
+  c.fault.abort_rate_per_s = 0.05;
+  EXPECT_TRUE(c.Validate().ok());
 }
 
 TEST(ConfigTest, SchedulerKindNames) {
@@ -332,6 +332,70 @@ TEST(ConfigJsonTest, NonDefaultConfigRoundTrips) {
   StatusOr<SimConfig> parsed = SimConfig::FromJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->ToJson(), json);
+}
+
+// Doubles that six significant digits cannot hold read back exactly. The
+// fields are compared, not the JSON texts: a lossy writer gives the same
+// text for the config and for its reloaded copy.
+TEST(ConfigJsonTest, DoublesReadBackExactly) {
+  SimConfig c;
+  c.machine.quantum_objects = 1.0 / 3.0;
+  c.costs.obj_time_ms = 1234.5678;
+  c.costs.msg_time_ms = 0.1 + 0.2;
+  c.workload.arrival_rate_tps = 0.1 + 0.2;
+  c.workload.error_sigma = 0.123456789;
+  c.workload.zipf_theta = 2.0 / 3.0;
+  c.run.horizon_ms = 1'234'567.0;
+  c.run.warmup_ms = 98'765.4321;
+  c.run.restart_delay_ms = 5000.000001;
+  c.fault.dpn_mttf_ms = 1'234'567.0;
+  c.fault.dpn_mttr_ms = 15'000.5;
+  c.fault.straggler_factor = 1.0 + 1e-12;
+  c.fault.abort_rate_per_s = 1e-7 / 3.0;
+  c.fault.backoff_jitter = 0.1 + 0.2;
+  c.low_lb_weight = 1e300 / 7.0;
+  ASSERT_TRUE(c.Validate().ok());
+  StatusOr<SimConfig> parsed = SimConfig::FromJson(c.ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->machine.quantum_objects, c.machine.quantum_objects);
+  EXPECT_EQ(parsed->costs.obj_time_ms, c.costs.obj_time_ms);
+  EXPECT_EQ(parsed->costs.msg_time_ms, c.costs.msg_time_ms);
+  EXPECT_EQ(parsed->workload.arrival_rate_tps, c.workload.arrival_rate_tps);
+  EXPECT_EQ(parsed->workload.error_sigma, c.workload.error_sigma);
+  EXPECT_EQ(parsed->workload.zipf_theta, c.workload.zipf_theta);
+  EXPECT_EQ(parsed->run.horizon_ms, c.run.horizon_ms);
+  EXPECT_EQ(parsed->run.warmup_ms, c.run.warmup_ms);
+  EXPECT_EQ(parsed->run.restart_delay_ms, c.run.restart_delay_ms);
+  EXPECT_EQ(parsed->fault.dpn_mttf_ms, c.fault.dpn_mttf_ms);
+  EXPECT_EQ(parsed->fault.dpn_mttr_ms, c.fault.dpn_mttr_ms);
+  EXPECT_EQ(parsed->fault.straggler_factor, c.fault.straggler_factor);
+  EXPECT_EQ(parsed->fault.abort_rate_per_s, c.fault.abort_rate_per_s);
+  EXPECT_EQ(parsed->fault.backoff_jitter, c.fault.backoff_jitter);
+  EXPECT_EQ(parsed->low_lb_weight, c.low_lb_weight);
+}
+
+// The default config's JSON, which --config files and the goldens' notes
+// spell, is unchanged by the exact double writer.
+TEST(ConfigJsonTest, DefaultConfigJsonIsStable) {
+  EXPECT_EQ(
+      SimConfig().ToJson(),
+      "{\"machine\":{\"num_nodes\":8,\"num_files\":16,\"dd\":1,\"mpl\":0,"
+      "\"quantum_objects\":0,\"batch_mpl\":0},\"costs\":{\"obj_time_ms\":1000,"
+      "\"msg_time_ms\":2,\"sot_time_ms\":2,\"cot_time_ms\":7,\"dd_time_ms\":1,"
+      "\"kwtpg_time_ms\":10,\"chain_time_ms\":30,\"top_time_ms\":5},"
+      "\"workload\":{\"arrival_rate_tps\":1,\"error_sigma\":0,"
+      "\"max_arrivals\":0,\"zipf_theta\":0},\"run\":{\"horizon_ms\":2e+06,"
+      "\"warmup_ms\":0,\"retry_fallback_ms\":1000,\"admission_retry_limit\":16,"
+      "\"restart_delay_ms\":5000,\"telemetry_sample_ms\":0,"
+      "\"telemetry_capacity\":65536,\"trace_enabled\":false,"
+      "\"trace_capacity\":1048576,\"tail_metrics\":false,"
+      "\"tail_sketch\":false,\"seed\":1},\"fault\":{\"dpn_mttf_ms\":0,"
+      "\"dpn_mttr_ms\":60000,\"straggler_mtbf_ms\":0,"
+      "\"straggler_duration_ms\":30000,\"straggler_factor\":4,"
+      "\"abort_rate_per_s\":0,\"backoff_base_ms\":500,\"backoff_max_ms\":60000,"
+      "\"backoff_jitter\":0.2},\"scheduler\":\"low\",\"low_k\":2,"
+      "\"low_charge_per_eval\":true,\"low_lb_weight\":1,"
+      "\"opt_validate_writes\":true}");
 }
 
 // FromJson's error message for `json`; empty when it parses.

@@ -6,6 +6,7 @@
 
 #include "util/random.h"
 #include "wtpg/chain.h"
+#include "wtpg/reference_wtpg.h"
 #include "wtpg/wtpg.h"
 
 namespace wtpgsched {
@@ -107,7 +108,7 @@ TEST_P(ClosurePropertyTest, RandomOrientationsKeepInvariants) {
       const bool forward = rng.NextDouble() < 0.5;
       const TxnId from = forward ? a : b;
       const TxnId to = forward ? b : a;
-      const bool can = g.CanOrient(from, to);
+      const bool can = CanOrient(g, from, to);
       const bool did = g.TryOrient(from, to);
       EXPECT_EQ(can, did);
       ASSERT_TRUE(g.CheckInvariants())

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "wtpg/reference_wtpg.h"
 #include "wtpg/wtpg.h"
 
 namespace wtpgsched {

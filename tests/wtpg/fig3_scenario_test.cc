@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "wtpg/chain.h"
+#include "wtpg/reference_wtpg.h"
 #include "wtpg/wtpg.h"
 
 namespace wtpgsched {

@@ -324,4 +324,38 @@ std::string RollbackDiff(const Wtpg& before, const Wtpg& after,
   return "";
 }
 
+bool CanOrient(Wtpg& g, TxnId from, TxnId to) {
+  const Wtpg::Edge* e = g.FindEdge(from, to);
+  if (e == nullptr) return false;
+  if (e->oriented) return e->from == from;
+  Wtpg::OrientJournal journal;
+  const bool ok = g.OrientBatch(from, {to}, &journal);
+  g.Rollback(&journal);
+  return ok;
+}
+
+double BruteForceOptimalCriticalPath(const Wtpg& g,
+                                     const std::vector<TxnId>& chain) {
+  std::vector<std::pair<TxnId, TxnId>> free_edges;
+  for (size_t i = 0; i + 1 < chain.size(); ++i) {
+    const Wtpg::Edge* e = g.FindEdge(chain[i], chain[i + 1]);
+    if (e == nullptr) throw std::logic_error("chain pair without an edge");
+    if (!e->oriented) free_edges.emplace_back(chain[i], chain[i + 1]);
+  }
+  const size_t n = free_edges.size();
+  if (n > 20) throw std::logic_error("brute force limited to small chains");
+  double best = kInfiniteCost;
+  for (uint64_t mask = 0; mask < (1ULL << n); ++mask) {
+    Wtpg copy = g;
+    bool feasible = true;
+    for (size_t i = 0; i < n && feasible; ++i) {
+      const bool fwd = (mask >> i) & 1;
+      const auto [a, b] = free_edges[i];
+      feasible = fwd ? copy.TryOrient(a, b) : copy.TryOrient(b, a);
+    }
+    if (feasible) best = std::min(best, copy.CriticalPath());
+  }
+  return best;
+}
+
 }  // namespace wtpgsched

@@ -32,7 +32,7 @@ class ReferenceWtpg {
   // Wtpg::TryOrient. The pair's edge must exist; false leaves the graph
   // unchanged.
   bool TryOrient(TxnId from, TxnId to);
-  // Wtpg::CanOrient: false when the pair has no edge.
+  // The free function CanOrient: false when the pair has no edge.
   bool CanOrient(TxnId from, TxnId to) const;
   // Wtpg::OrientBatch, kept on success when `keep`, discarded otherwise
   // (a speculation that the caller rolls back). Either way, and on
@@ -85,6 +85,16 @@ class ReferenceWtpg {
 // materializes stay behind, unoriented, at the back of the lists.
 std::string RollbackDiff(const Wtpg& before, const Wtpg& after,
                          bool neighbors_may_grow = false);
+
+// Would g.TryOrient(from, to) succeed? False when the pair has no edge.
+// Speculates with OrientBatch and rolls back, so `g` ends unchanged.
+bool CanOrient(Wtpg& g, TxnId from, TxnId to);
+
+// The oracle of OptimizeChain: the least critical path over every feasible
+// orientation of the chain's unoriented edges, each tried with TryOrient
+// on a copy of `g`. Exponential; chains of at most 20 free edges.
+double BruteForceOptimalCriticalPath(const Wtpg& g,
+                                     const std::vector<TxnId>& chain);
 
 }  // namespace wtpgsched
 

@@ -14,7 +14,6 @@
 
 #include "analysis/serializability.h"
 #include "driver/sim_run.h"
-#include "fault/fault_flags.h"
 #include "machine/machine.h"
 #include "telemetry/telemetry_export.h"
 #include "trace/trace_export.h"
@@ -64,66 +63,29 @@ int main(int argc, char** argv) {
   ApplyProgressFlags(flags);
 
   SimConfig config;
-  const bool from_file = flags.WasSet("config");
-  if (from_file) {
-    StatusOr<SimConfig> loaded =
-        SimConfig::FromJsonFile(flags.GetString("config"));
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "--config: %s\n",
-                   loaded.status().ToString().c_str());
-      return 2;
-    }
-    config = *loaded;
-  }
-  // A flag beats the config file when explicitly given; without a file,
-  // every flag applies so the tool's defaults stay exactly as before.
-  auto use = [&](const char* name) { return !from_file || flags.WasSet(name); };
-  if (use("scheduler") &&
-      !ParseSchedulerKind(flags.GetString("scheduler"), &config.scheduler)) {
-    std::fprintf(stderr, "unknown scheduler '%s'\n",
-                 flags.GetString("scheduler").c_str());
-    return 2;
-  }
-  // Integer flags land in narrower fields: each is range-checked first.
-  const auto int_flag = [&](const char* name, auto* field) {
-    return !use(name) || GetIntFlag(flags, name, field);
-  };
   int mpl = 0;
   int num_seeds = 1;
   int jobs = 0;
-  if (!int_flag("num-files", &config.machine.num_files) ||
-      !int_flag("num-nodes", &config.machine.num_nodes) ||
-      !int_flag("dd", &config.machine.dd) ||
-      !int_flag("low-k", &config.low_k) ||
-      !int_flag("seed", &config.run.seed) ||
-      !int_flag("max-arrivals", &config.workload.max_arrivals) ||
-      !int_flag("batch-mpl", &config.machine.batch_mpl) ||
-      !GetIntFlag(flags, "mpl", &mpl) ||
+  if (!LoadConfig(flags, &config) || !GetIntFlag(flags, "mpl", &mpl) ||
       !GetIntFlag(flags, "seeds", &num_seeds) ||
       !GetIntFlag(flags, "jobs", &jobs)) {
     return 2;
   }
-  if (use("rate")) config.workload.arrival_rate_tps = flags.GetDouble("rate");
-  if (use("horizon-ms")) config.run.horizon_ms = flags.GetDouble("horizon-ms");
-  if (use("warmup-ms")) config.run.warmup_ms = flags.GetDouble("warmup-ms");
-  if (use("sigma")) config.workload.error_sigma = flags.GetDouble("sigma");
-  if (use("mpl") && mpl > 0) config.machine.mpl = mpl;
-  if (use("zipf-theta")) {
-    config.workload.zipf_theta = flags.GetDouble("zipf-theta");
-  }
-  if (use("tail") && flags.GetBool("tail")) config.run.tail_metrics = true;
-  if (use("tail-sketch") && flags.GetBool("tail-sketch")) {
+  // The field list leaves these flags out, as each means more than its
+  // field: --mpl spells "unlimited" 0 and applies only when > 0, and
+  // --tail-sketch implies --tail. Off, they keep the config's values.
+  if (mpl > 0) config.machine.mpl = mpl;
+  if (flags.GetBool("tail")) config.run.tail_metrics = true;
+  if (flags.GetBool("tail-sketch")) {
     config.run.tail_metrics = true;
     config.run.tail_sketch = true;
   }
-  ApplyFaultFlags(flags, &config.fault);
   if (flags.GetInt("trace-capacity") < 1) {
     std::fprintf(stderr, "--trace-capacity must be >= 1\n");
     return 2;
   }
   const std::string trace_jsonl = flags.GetString("trace-jsonl");
-  const std::string trace_chrome = flags.GetString("trace-chrome");
-  if (!trace_jsonl.empty() || !trace_chrome.empty()) {
+  if (!trace_jsonl.empty()) {
     config.run.trace_enabled = true;
     config.run.trace_capacity =
         static_cast<uint64_t>(flags.GetInt("trace-capacity"));
@@ -168,9 +130,8 @@ int main(int argc, char** argv) {
   // snapshot, telemetry series, serializability log) are single-run
   // concepts.
   if (num_seeds > 1) {
-    if (!trace_jsonl.empty() || !trace_chrome.empty() ||
-        !flags.GetString("dot-out").empty() || !telemetry_csv.empty() ||
-        flags.GetBool("verify")) {
+    if (!trace_jsonl.empty() || !flags.GetString("dot-out").empty() ||
+        !telemetry_csv.empty() || flags.GetBool("verify")) {
       std::fprintf(stderr,
                    "--seeds > 1 is incompatible with --trace-*/--dot-out/"
                    "--telemetry-csv/--verify (single-run outputs)\n");
@@ -227,30 +188,19 @@ int main(int argc, char** argv) {
     gauges = &gauge_tracks;
   }
 
-  if (!trace_jsonl.empty() || !trace_chrome.empty()) {
+  if (!trace_jsonl.empty()) {
     TraceMeta meta;
     meta.scheduler = machine.scheduler().name();
     meta.num_nodes = config.machine.num_nodes;
     meta.num_files = config.machine.num_files;
     meta.dd = config.machine.dd;
     meta.seed = config.run.seed;
-    const std::vector<TraceEvent> events = machine.trace().Snapshot();
-    if (!trace_jsonl.empty()) {
-      const Status written = WriteJsonlTrace(events, meta, stats.counters,
-                                             machine.trace().dropped(),
-                                             trace_jsonl, gauges);
-      if (!written.ok()) {
-        std::fprintf(stderr, "trace-jsonl: %s\n", written.ToString().c_str());
-        return 1;
-      }
-    }
-    if (!trace_chrome.empty()) {
-      const Status written =
-          WriteChromeTrace(events, meta, trace_chrome, gauges);
-      if (!written.ok()) {
-        std::fprintf(stderr, "trace-chrome: %s\n", written.ToString().c_str());
-        return 1;
-      }
+    const Status written = WriteJsonlTrace(
+        machine.trace().Snapshot(), meta, stats.counters,
+        machine.trace().dropped(), trace_jsonl, gauges);
+    if (!written.ok()) {
+      std::fprintf(stderr, "trace-jsonl: %s\n", written.ToString().c_str());
+      return 1;
     }
   }
 

@@ -18,7 +18,6 @@
 #include "driver/experiments.h"
 #include "driver/report.h"
 #include "driver/sweep.h"
-#include "fault/fault_flags.h"
 #include "machine/config.h"
 #include "util/common_flags.h"
 #include "util/logging.h"
@@ -59,39 +58,14 @@ int main(int argc, char** argv) {
   if (standard >= 0) return standard;
   ApplyProgressFlags(flags);
 
+  // --batch-mpl is the openworld mode's argument, not machine.batch_mpl.
   SimConfig config;
-  const bool from_file = flags.WasSet("config");
-  if (from_file) {
-    StatusOr<SimConfig> loaded =
-        SimConfig::FromJsonFile(flags.GetString("config"));
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "--config: %s\n",
-                   loaded.status().ToString().c_str());
-      return 2;
-    }
-    config = *loaded;
-  }
-  // A flag beats the config file when explicitly given; without a file,
-  // every flag applies so the tool's defaults stay exactly as before.
-  auto use = [&](const char* name) { return !from_file || flags.WasSet(name); };
-  if (use("scheduler") &&
-      !ParseSchedulerKind(flags.GetString("scheduler"), &config.scheduler)) {
-    std::fprintf(stderr, "unknown scheduler '%s'\n",
-                 flags.GetString("scheduler").c_str());
-    return 2;
-  }
-  // Integer flags land in narrower fields: each is range-checked first.
-  const auto int_flag = [&](const char* name, auto* field) {
-    return !use(name) || GetIntFlag(flags, name, field);
-  };
   int seeds = 1;
   int jobs = 0;
   int iters = 0;
   int ow_files = 0;
   int batch_mpl = 0;
-  if (!int_flag("num-files", &config.machine.num_files) ||
-      !int_flag("dd", &config.machine.dd) ||
-      !int_flag("seed", &config.run.seed) ||
+  if (!LoadConfig(flags, &config, {"batch-mpl"}) ||
       !GetIntFlag(flags, "seeds", &seeds) ||
       !GetIntFlag(flags, "jobs", &jobs) ||
       !GetIntFlag(flags, "iters", &iters) ||
@@ -99,10 +73,6 @@ int main(int argc, char** argv) {
       !GetIntFlag(flags, "batch-mpl", &batch_mpl)) {
     return 2;
   }
-  if (use("sigma")) config.workload.error_sigma = flags.GetDouble("sigma");
-  if (use("horizon-ms")) config.run.horizon_ms = flags.GetDouble("horizon-ms");
-  if (use("rate")) config.workload.arrival_rate_tps = flags.GetDouble("rate");
-  ApplyFaultFlags(flags, &config.fault);
   // The overlaid config, and below the config of every swept value, is
   // validated before anything runs.
   const auto invalid = [](const SimConfig& c) {
