@@ -140,24 +140,10 @@ void BM_LowDecisionCopyReference(benchmark::State& state) {
 }
 BENCHMARK(BM_LowDecisionCopyReference)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
-// C2PL's deadlock prediction: the requester's ancestor set, one reverse
-// DFS per call. The probe starts at the highest id, which RandomGraph's
-// ascending orientations give the most ancestors.
-void BM_AncestorsOf(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Wtpg g = RandomGraph(n, 0.2, 4);
-  std::vector<TxnId> ancestors;
-  for (auto _ : state) {
-    g.AncestorsOf(n, &ancestors);
-    benchmark::DoNotOptimize(ancestors.data());
-  }
-}
-BENCHMARK(BM_AncestorsOf)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
-
 // Edge-table insert, find and erase around a hub node in the highest slot
-// that conflicts with every lower slot (C2PL's saturated graphs are full of
-// such hubs). Each iteration churns one leaf: RemoveNode erases its hub
-// edge, AddConflictEdge re-inserts it, FindEdge looks it up.
+// that conflicts with every lower slot. Each iteration churns one leaf:
+// RemoveNode erases its hub edge, AddConflictEdge re-inserts it, FindEdge
+// looks it up.
 void BM_EdgeTableHub(benchmark::State& state) {
   const auto leaves = static_cast<TxnId>(state.range(0));
   Wtpg g;

@@ -7,14 +7,16 @@
 // little throughput for less age-skew in response times.
 //
 // The example shows the three integration points:
-//   1. subclass a scheduler (or Scheduler/WtpgSchedulerBase directly),
+//   1. subclass a scheduler (or Scheduler directly),
 //   2. inject it into Machine via the custom-scheduler constructor,
 //   3. verify the history with the serializability checker.
 //
 //   ./build/examples/custom_scheduler
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "analysis/serializability.h"
 #include "machine/machine.h"
@@ -36,18 +38,26 @@ class SeniorityScheduler : public C2plScheduler {
     if (base.kind != DecisionKind::kGrant) return base;
     // Age rule: yield to an older transaction whose conflicting access is
     // still pending *and* can still go first. The "can still go first"
-    // test (no txn ~> elder precedence path) is what keeps this safe: if
-    // the elder is already ordered behind us, waiting for it would be a
-    // deadlock, so we do not.
+    // test (the elder is not among txn's descendants) is what keeps this
+    // safe: if the elder is already ordered behind us, waiting for it
+    // would be a deadlock, so we do not.
     const FileId file = txn.step(step).file;
     const LockMode mode = txn.RequestModeAt(step);
-    for (TxnId elder : PendingConflicters(file, txn.id(), mode)) {
-      if (elder < txn.id() && !graph_.HasPath(txn.id(), elder)) {
+    pending().PendingConflicters(file, txn.id(), mode, &conflicters_);
+    Descendants(txn.id(), &descendants_);
+    for (TxnId elder : conflicters_) {
+      if (elder < txn.id() &&
+          std::find(descendants_.begin(), descendants_.end(), elder) ==
+              descendants_.end()) {
         return Decision{DecisionKind::kDelay, file};
       }
     }
     return base;
   }
+
+ private:
+  std::vector<TxnId> conflicters_;
+  std::vector<TxnId> descendants_;
 };
 
 RunStats RunWith(std::unique_ptr<Scheduler> scheduler, const char* label) {

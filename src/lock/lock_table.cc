@@ -77,22 +77,6 @@ bool LockTable::Holds(FileId file, TxnId txn) const {
   return false;
 }
 
-std::vector<LockTable::Holder> LockTable::GetHolders(FileId file) const {
-  return HoldersOf(file);
-}
-
-void LockTable::GetHolders(FileId file, std::vector<Holder>* out) const {
-  const std::vector<Holder>& holders = HoldersOf(file);
-  out->assign(holders.begin(), holders.end());
-}
-
-std::vector<TxnId> LockTable::ConflictingHolders(FileId file, TxnId txn,
-                                                 LockMode mode) const {
-  std::vector<TxnId> result;
-  ConflictingHolders(file, txn, mode, &result);
-  return result;
-}
-
 void LockTable::ConflictingHolders(FileId file, TxnId txn, LockMode mode,
                                    std::vector<TxnId>* out) const {
   out->clear();

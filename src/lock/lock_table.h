@@ -60,21 +60,15 @@ class LockTable {
   bool Holds(FileId file, TxnId txn) const;
 
   // Current holders of `file` (empty if unlocked). The reference stays
-  // valid only until the next mutation; the copying and out-parameter
-  // variants are for callers that mutate while consuming.
+  // valid only until the next mutation.
   const std::vector<Holder>& HoldersOf(FileId file) const {
     const int32_t slot = slots_.Find(file);
     return slot == FileIndex::kAbsent ? kNoHolders
                                       : holders_[static_cast<size_t>(slot)];
   }
-  std::vector<Holder> GetHolders(FileId file) const;
-  void GetHolders(FileId file, std::vector<Holder>* out) const;
 
-  // Holders (other than `txn`) whose mode conflicts with `mode`. The
-  // out-parameter variant clears and fills *out (for hot call sites that
-  // would otherwise allocate a vector per query).
-  std::vector<TxnId> ConflictingHolders(FileId file, TxnId txn,
-                                        LockMode mode) const;
+  // Holders (other than `txn`) whose mode conflicts with `mode`; clears and
+  // fills *out.
   void ConflictingHolders(FileId file, TxnId txn, LockMode mode,
                           std::vector<TxnId>* out) const;
 

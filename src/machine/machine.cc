@@ -517,7 +517,7 @@ void Machine::StartCohorts(TxnId id) {
     const RoundRobinServer::JobId job = dpn.SubmitCohort(
         cohort_objects, quantum_objects,
         [this, id, node] { OnCohortDone(id, node); });
-    if (faults_enabled_) cohort_jobs_[id].emplace_back(node, job);
+    if (faults_enabled_) SlotOf(id).cohort_jobs.emplace_back(node, job);
   }
 }
 
@@ -532,19 +532,8 @@ void Machine::OnCohortDone(TxnId id, NodeId node) {
                    .node = node,
                    .step = txn.current_step()});
   }
-  if (faults_enabled_) {
-    auto cj = cohort_jobs_.find(id);
-    if (cj != cohort_jobs_.end()) {
-      auto& jobs = cj->second;
-      for (auto jt = jobs.begin(); jt != jobs.end(); ++jt) {
-        if (jt->first == node) {
-          jobs.erase(jt);
-          break;
-        }
-      }
-      if (jobs.empty()) cohort_jobs_.erase(cj);
-    }
-  }
+  std::erase_if(SlotOf(id).cohort_jobs,
+                [node](const auto& job) { return job.first == node; });
   int& cohorts = SlotOf(id).cohorts_remaining;
   WTPG_CHECK_GT(cohorts, 0);
   if (--cohorts > 0) return;
@@ -707,18 +696,16 @@ void Machine::OnDpnCrash(NodeId node) {
   dpn.Crash();
   // Every transaction with a cohort resident on the node loses its whole
   // incarnation — mid-scan state on a dead node is unrecoverable. Victims
-  // abort in id order so the schedule does not depend on hash-map order.
+  // abort in id order: active() is ordered by id.
   std::vector<TxnId> victims;
-  for (const auto& [id, jobs] : cohort_jobs_) {
-    for (const auto& [n, job] : jobs) {
-      (void)job;
-      if (n == node) {
-        victims.push_back(id);
-        break;
-      }
+  for (const auto& [id, txn] : scheduler_->active()) {
+    (void)txn;
+    const auto& jobs = SlotOf(id).cohort_jobs;
+    if (std::any_of(jobs.begin(), jobs.end(),
+                    [node](const auto& job) { return job.first == node; })) {
+      victims.push_back(id);
     }
   }
-  std::sort(victims.begin(), victims.end());
   for (TxnId id : victims) {
     FaultCounter("fault.crash_victims") += 1;
     FaultAbort(id, kAbortNodeCrash);
@@ -797,14 +784,12 @@ void Machine::FaultAbort(TxnId id, AbortReason reason) {
   Transaction& txn = GetTxn(id);
   // Cohorts still running on healthy nodes are canceled; their completion
   // callbacks never fire and their remaining work leaves the backlog.
-  auto cj = cohort_jobs_.find(id);
-  if (cj != cohort_jobs_.end()) {
-    for (const auto& [node, job] : cj->second) {
-      dpns_[static_cast<size_t>(node)]->CancelCohort(job);
-    }
-    cohort_jobs_.erase(cj);
+  TxnSlot& slot = SlotOf(id);
+  for (const auto& [node, job] : slot.cohort_jobs) {
+    dpns_[static_cast<size_t>(node)]->CancelCohort(job);
   }
-  SlotOf(id).cohorts_remaining = 0;
+  slot.cohort_jobs.clear();
+  slot.cohorts_remaining = 0;
   Unpark(id);
   stats_.RecordRestart();
   trace_.Record({.time = sim_.Now(),

@@ -103,6 +103,10 @@ class Machine {
     std::unique_ptr<Transaction> txn;
     bool pending_decision = false;  // A CN decision job is in flight.
     int cohorts_remaining = 0;      // Still scanning the executing step.
+    // (node, job) handles of the executing step's in-flight cohorts: the
+    // crash-victim test and the cancel handles of a fault abort. Recorded
+    // only when faults are enabled.
+    std::vector<std::pair<NodeId, RoundRobinServer::JobId>> cohort_jobs = {};
   };
   TxnSlot& SlotOf(TxnId id) { return txns_[static_cast<size_t>(id - 1)]; }
   Transaction& GetTxn(TxnId id);
@@ -206,12 +210,6 @@ class Machine {
   // Backoff jitter; salted off the run seed, independent of the source
   // streams and of the workload streams.
   Rng fault_rng_;
-  // (node, job) handles of the in-flight cohorts of each executing
-  // transaction — the crash-victim index and the cancel handles for fault
-  // aborts. Only maintained when faults are enabled.
-  std::unordered_map<TxnId,
-                     std::vector<std::pair<NodeId, RoundRobinServer::JobId>>>
-      cohort_jobs_;
 
   uint64_t arrivals_generated_ = 0;
   uint64_t decision_retries_ = 0;

@@ -1,6 +1,5 @@
 #include "sched/gow.h"
 
-#include "metrics/counters.h"
 #include "util/logging.h"
 
 namespace wtpgsched {
@@ -52,7 +51,7 @@ Decision GowScheduler::DecideLock(Transaction& txn, int step) {
   }
   // The orientations this grant would determine. In chain form every
   // conflicter is adjacent to txn in its chain.
-  PendingConflicters(file, txn.id(), mode, &targets_scratch2_);
+  pending_.PendingConflicters(file, txn.id(), mode, &targets_scratch2_);
   const std::vector<TxnId>& targets = targets_scratch2_;
   if (targets.empty()) {
     // No serialization order is determined: trivially consistent with W.
@@ -122,15 +121,8 @@ Decision GowScheduler::DecideLock(Transaction& txn, int step) {
   return Decision{DecisionKind::kGrant, file};
 }
 
-void GowScheduler::ExportCounters(CounterRegistry* registry) const {
-  registry->Counter("gow.chain_rejections") += chain_rejections_;
-}
-
-void GowScheduler::RegisterGauges(GaugeRegistry* gauges) const {
-  WtpgSchedulerBase::RegisterGauges(gauges);
-  gauges->Register("gow.chain_rejections", [this] {
-    return static_cast<double>(chain_rejections_);
-  });
+std::vector<Scheduler::NamedCounter> GowScheduler::Counters() const {
+  return {{"gow.chain_rejections", &chain_rejections_}};
 }
 
 void GowScheduler::AfterGrant(Transaction& txn, int step) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "metrics/counters.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -21,7 +20,7 @@ SimTime LowScheduler::LockDecisionCost(const Transaction& txn,
   if (!charge_per_eval_) return kwtpgtime_;
   const FileId file = txn.step(step).file;
   const LockMode mode = txn.RequestModeAt(step);
-  const size_t conflicters = CountPendingConflicters(file, txn.id(), mode);
+  const size_t conflicters = pending_.CountPendingConflicters(file, txn.id(), mode);
   // One evaluation for E(q) plus one per competitor E(p).
   return kwtpgtime_ * static_cast<SimTime>(1 + conflicters);
 }
@@ -37,7 +36,7 @@ bool LowScheduler::AdmissionWithinK(const Transaction& txn) const {
     //   newcomer:        every entry when X, exactly the X entries when S;
     //   pending X entry: the newcomer plus all other entries;
     //   pending S entry: the X entries, plus the newcomer when it is X.
-    const PendingList& pending = PendingListOf(file);
+    const PendingIndex::List& pending = pending_.Of(file);
     const int total = static_cast<int>(pending.items.size());
     const int x_count = pending.x_count;
     const int newcomer_x = mode == LockMode::kExclusive ? 1 : 0;
@@ -65,7 +64,7 @@ Decision LowScheduler::DecideLock(Transaction& txn, int step) {
   if (!lock_table_.CanGrant(file, txn.id(), mode)) {
     return Decision{DecisionKind::kBlock, file};
   }
-  PendingConflicters(file, txn.id(), mode, &competitors_scratch_);
+  pending_.PendingConflicters(file, txn.id(), mode, &competitors_scratch_);
   const std::vector<TxnId>& competitors = competitors_scratch_;
   WTPG_CHECK_LE(static_cast<int>(competitors.size()), k_)
       << "admission control must bound |C(q)|";
@@ -104,7 +103,7 @@ Decision LowScheduler::DecideLock(Transaction& txn, int step) {
   for (TxnId u : competitors) {
     const Transaction* other = active_.at(u);
     const LockMode other_mode = other->lock_modes().at(file);
-    PendingConflicters(file, u, other_mode, &cp_scratch_);
+    pending_.PendingConflicters(file, u, other_mode, &cp_scratch_);
     ++wtpg_evals_;
     const double ep = EvaluateGrant(graph_, u, cp_scratch_);
     if (tracing()) {
@@ -135,19 +134,9 @@ double LowScheduler::GrantPenalty(const Transaction& txn, int step) const {
   return 0.0;
 }
 
-void LowScheduler::ExportCounters(CounterRegistry* registry) const {
-  registry->Counter("low.k_rejections") += admission_k_rejections_;
-  registry->Counter("low.deadlock_delays") += deadlock_delays_;
-}
-
-void LowScheduler::RegisterGauges(GaugeRegistry* gauges) const {
-  WtpgSchedulerBase::RegisterGauges(gauges);
-  gauges->Register("low.k_rejections", [this] {
-    return static_cast<double>(admission_k_rejections_);
-  });
-  gauges->Register("low.deadlock_delays", [this] {
-    return static_cast<double>(deadlock_delays_);
-  });
+std::vector<Scheduler::NamedCounter> LowScheduler::Counters() const {
+  return {{"low.k_rejections", &admission_k_rejections_},
+          {"low.deadlock_delays", &deadlock_delays_}};
 }
 
 }  // namespace wtpgsched

@@ -42,8 +42,7 @@ class LowScheduler : public WtpgSchedulerBase {
     return {.pure_lock_block = true};
   }
 
-  void ExportCounters(CounterRegistry* registry) const override;
-  void RegisterGauges(GaugeRegistry* gauges) const override;
+  std::vector<NamedCounter> Counters() const override;
 
  protected:
   Decision DecideStartup(Transaction& txn) override;

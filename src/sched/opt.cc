@@ -2,8 +2,6 @@
 
 #include <unordered_set>
 
-#include "metrics/counters.h"
-
 namespace wtpgsched {
 
 Decision OptScheduler::DecideStartup(Transaction& txn) {
@@ -65,15 +63,8 @@ void OptScheduler::AfterCommit(Transaction& txn) {
   }
 }
 
-void OptScheduler::ExportCounters(CounterRegistry* registry) const {
-  registry->Counter("opt.validation_failures") += validation_failures_;
-}
-
-void OptScheduler::RegisterGauges(GaugeRegistry* gauges) const {
-  Scheduler::RegisterGauges(gauges);
-  gauges->Register("opt.validation_failures", [this] {
-    return static_cast<double>(validation_failures_);
-  });
+std::vector<Scheduler::NamedCounter> OptScheduler::Counters() const {
+  return {{"opt.validation_failures", &validation_failures_}};
 }
 
 }  // namespace wtpgsched

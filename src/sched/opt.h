@@ -36,8 +36,7 @@ class OptScheduler : public Scheduler {
 
   uint64_t validation_failures() const { return validation_failures_; }
 
-  void ExportCounters(CounterRegistry* registry) const override;
-  void RegisterGauges(GaugeRegistry* gauges) const override;
+  std::vector<NamedCounter> Counters() const override;
 
  protected:
   Decision DecideStartup(Transaction& txn) override;

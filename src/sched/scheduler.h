@@ -8,10 +8,10 @@
 #include "lock/lock_table.h"
 #include "model/transaction.h"
 #include "model/types.h"
+#include "sched/pending_index.h"
 #include "sim/time.h"
 #include "telemetry/gauge_registry.h"
 #include "trace/trace_recorder.h"
-#include "util/file_index.h"
 #include "wtpg/wtpg.h"
 
 namespace wtpgsched {
@@ -63,7 +63,7 @@ struct SchedulerTraits {
   // retry delayed requests after each grant. True for the WTPG optimizers
   // (their E()/plan comparisons change with every orientation); false for
   // C2PL, whose delay reasons (predicted deadlock) only clear at commit —
-  // and whose saturated graphs make per-grant retries expensive.
+  // and whose saturated runs make per-grant retries expensive.
   bool retry_delayed_on_grant = true;
   // Granted locks are recorded with compatibility checking (NODC clears
   // this to force-grant; OPT clears records_locks to skip entirely).
@@ -150,26 +150,34 @@ class Scheduler {
   size_t active_low_priority() const { return active_low_priority_; }
   uint64_t admission_gated() const { return admission_gated_; }
 
-  // Adds this scheduler's decision counters (e.g. "low.deadlock_delays")
-  // to the run's registry; called once at the end of a run.
-  virtual void ExportCounters(CounterRegistry* registry) const {
-    (void)registry;
-  }
+  // One decision counter: its name (for example "low.deadlock_delays") and
+  // the live count.
+  struct NamedCounter {
+    const char* name;
+    const uint64_t* value;
+  };
+
+  // This scheduler's decision counters, each named once, in export order;
+  // ExportCounters and RegisterGauges both walk this list.
+  virtual std::vector<NamedCounter> Counters() const { return {}; }
+
+  // Adds Counters() to the run's registry; called once at the end of a run.
+  void ExportCounters(CounterRegistry* registry) const;
 
   // Adds the graph-evaluation counter ("wtpg.evals") for the schedulers
-  // that keep a WTPG. The machine exports it only on telemetry-enabled runs
-  // (same gate as the health counters) so historical aggregate JSON stays
-  // byte-identical.
+  // that test a precedence graph. The machine exports it only on
+  // telemetry-enabled runs (same gate as the health counters) so historical
+  // aggregate JSON stays byte-identical.
   virtual void ExportDecisionCounters(CounterRegistry* registry) const {
     (void)registry;
   }
 
-  // Registers this scheduler's live gauges (active MPL, lock-table size,
-  // WTPG size, running decision counts) for periodic sampling; called once
-  // during machine construction when telemetry is enabled. Overrides must
-  // call the base first so "sched.*" columns precede scheduler-specific
-  // ones.
-  virtual void RegisterGauges(GaugeRegistry* gauges) const;
+  // Registers this scheduler's live gauges for periodic sampling, in column
+  // order: the structural "sched.*" and lock-table gauges, then
+  // RegisterGraphGauges' (the WTPG size for GOW and LOW), then one per
+  // Counters() entry. Called once during machine construction when
+  // telemetry is enabled.
+  void RegisterGauges(GaugeRegistry* gauges) const;
 
  protected:
   // --- Template-method hooks ---
@@ -180,15 +188,21 @@ class Scheduler {
 
   virtual Decision DecideLock(Transaction& txn, int step) = 0;
   // Called the moment a granted lock lands in the table (before AfterGrant),
-  // so schedulers keeping derived lock-state indexes (e.g. the pending-
-  // accessor index in WtpgSchedulerBase) update them at the source of truth.
+  // so schedulers keeping derived lock-state indexes (the PendingIndex of
+  // C2PL, GOW and LOW) update them at the source of truth.
   // Not called when traits().records_locks is false.
   virtual void OnLockRecorded(Transaction& /*txn*/, FileId /*file*/) {}
-  // Lock already recorded when this runs (WTPG schedulers orient edges).
+  // Lock already recorded when this runs (GOW and LOW orient edges).
   virtual void AfterGrant(Transaction& /*txn*/, int /*step*/) {}
 
+  // Called while the leaving transaction still holds its locks (C2PL
+  // walks the leaver's precedence through the lock table); ReleaseAll
+  // follows.
   virtual void AfterCommit(Transaction& /*txn*/) {}
   virtual void AfterAbort(Transaction& /*txn*/) {}
+
+  // See RegisterGauges.
+  virtual void RegisterGraphGauges(GaugeRegistry* /*gauges*/) const {}
 
   // True when scheduler-internal tracing is on (guard event payload work).
   bool tracing() const { return trace_ != nullptr && trace_->enabled(); }
@@ -198,6 +212,9 @@ class Scheduler {
   TraceRecorder* trace_ = nullptr;
 
  private:
+  // OnCommit and OnAbort: unregisters txn, runs its hook, releases locks.
+  std::vector<FileId> End(Transaction& txn, bool commit);
+
   // Admission-control state (base-class only; OnStartup / OnCommit /
   // OnAbort maintain the low-priority active count).
   AdmissionControl admission_;
@@ -205,16 +222,13 @@ class Scheduler {
   uint64_t admission_gated_ = 0;
 };
 
-// Shared machinery for the schedulers that maintain a (weighted or
-// unweighted) transaction-precedence graph: C2PL, GOW, LOW.
+// Shared machinery for the schedulers that maintain a weighted
+// transaction-precedence graph: GOW and LOW.
 class WtpgSchedulerBase : public Scheduler {
  public:
   const Wtpg& graph() const { return graph_; }
 
   void OnStepCompleted(Transaction& txn, int step) override;
-
-  // Adds the precedence-graph size gauges shared by C2PL / GOW / LOW.
-  void RegisterGauges(GaugeRegistry* gauges) const override;
 
   void ExportDecisionCounters(CounterRegistry* registry) const override;
 
@@ -222,100 +236,36 @@ class WtpgSchedulerBase : public Scheduler {
   // (hostbench/hostbench.cc) still reads them for its hit-rate metrics.
   uint64_t cache_hits() const { return 0; }
   uint64_t cache_misses() const { return 0; }
-  // Graph evaluations executed: C2PL's ancestor probes, LOW's
-  // EvaluateGrant and GOW's chain-plan speculations.
+  // Graph evaluations executed: LOW's EvaluateGrant and GOW's chain-plan
+  // speculations.
   uint64_t wtpg_evals() const { return wtpg_evals_; }
 
  protected:
-  // A declared-but-ungranted access: one entry per (file, active txn) pair,
-  // kept in the per-file index below until the lock is recorded or the
-  // incarnation ends.
-  struct PendingAccess {
-    TxnId txn;
-    LockMode mode;  // The declared (strongest) mode for the file.
-  };
-
-  // Per-file pending list plus the count of exclusive-mode entries. With
-  // the two-mode S/X lattice a request conflicts with every entry when it
-  // is X and with exactly the X entries when it is S, so the running count
-  // collapses per-file conflict counting — and LOW's AdmissionWithinK —
-  // from O(P) scans to O(1) arithmetic.
-  struct PendingList {
-    std::vector<PendingAccess> items;  // Sorted by TxnId.
-    int32_t x_count = 0;
-  };
-
   // Adds txn to the graph: node with W0 = declared total, conflict edges to
   // every conflicting active transaction, and pre-orientations u -> txn for
   // every u already holding a conflicting lock (strict locking forces the
-  // order as soon as u holds the granule). Also registers txn's declared
-  // accesses in the pending-accessor index.
+  // order as soon as u holds the granule). Also enters txn's declared
+  // accesses in the pending index.
   void AddToGraph(Transaction& txn);
-
-  void OnLockRecorded(Transaction& txn, FileId file) override;
-  void AfterCommit(Transaction& txn) override;
-  void AfterAbort(Transaction& txn) override;
-
-  // Pending accessors of `file`, ascending TxnId. Maintained incrementally
-  // (insert at admission, erase at grant / commit / abort) so admission and
-  // lock decisions need no rescan of the active set. References stay valid
-  // only until the next such mutation.
-  const std::vector<PendingAccess>& PendingAccessors(FileId file) const {
-    return PendingListOf(file).items;
-  }
-  const PendingList& PendingListOf(FileId file) const {
-    const int32_t slot = pending_slots_.Find(file);
-    return slot == FileIndex::kAbsent
-               ? kNoPending
-               : pending_by_file_[static_cast<size_t>(slot)];
-  }
-
-  // Active transactions (other than `requester`) that have a *pending*
-  // (declared but not yet granted) access to `file` conflicting with
-  // `mode`. These are the C(q) candidates and the orientation targets of a
-  // grant. The out-parameter variant clears and fills *out; the counting
-  // variant avoids materializing the list at all (decision-cost queries).
-  std::vector<TxnId> PendingConflicters(FileId file, TxnId requester,
-                                        LockMode mode) const;
-  void PendingConflicters(FileId file, TxnId requester, LockMode mode,
-                          std::vector<TxnId>* out) const;
-  size_t CountPendingConflicters(FileId file, TxnId requester,
-                                 LockMode mode) const;
 
   // Orients requester -> u for every pending conflicter after a grant.
   // The decision logic must have verified feasibility; failures are bugs.
   void OrientAfterGrant(Transaction& txn, FileId file, LockMode mode);
 
+  void RegisterGraphGauges(GaugeRegistry* gauges) const override;
+  void OnLockRecorded(Transaction& txn, FileId file) override;
+  void AfterCommit(Transaction& txn) override { RemoveFromGraph(txn); }
+  void AfterAbort(Transaction& txn) override { RemoveFromGraph(txn); }
+
   Wtpg graph_;
+  PendingIndex pending_;
   uint64_t wtpg_evals_ = 0;
 
  private:
-  void RemovePending(FileId file, TxnId txn);
+  void RemoveFromGraph(Transaction& txn);
 
-  // Sparse-mode removal compensation: the dense closure materializes the
-  // forced orientation of every conflicting pair the moment a directed path
-  // connects them, and oriented edges outlive the path (the intermediary
-  // may be removed). A sparse graph holds only the paths, so before
-  // removing `txn` this re-materializes, as a direct edge, the orientation
-  // x -> y of every *conflicting* pair with x an ancestor and y a
-  // descendant of `txn` — exactly the edges the dense closure would
-  // already hold. Under C2PL driving a committing transaction provably has
-  // no live ancestors (strict locking plus delay-on-predicted-cycle remove
-  // every predecessor first), so this costs one empty ancestor probe per
-  // commit and only does pair work on abort removals.
-  void CompensateSparseRemoval(Transaction& txn);
-
-  // Indexed by pending_slots_.Find(file), a slot taken when an admitted
-  // transaction first declares the file; each list sorted by TxnId so
-  // index-driven queries see the same ascending order the historical
-  // active_-map scan produced.
-  FileIndex pending_slots_;
-  std::vector<PendingList> pending_by_file_;
-  static const PendingList kNoPending;
-  std::vector<TxnId> holders_scratch_;   // AddToGraph pre-orientation scan.
-  std::vector<TxnId> targets_scratch_;   // OrientAfterGrant batch.
-  std::vector<TxnId> anc_scratch_;       // CompensateSparseRemoval sets.
-  std::vector<TxnId> desc_scratch_;
+  std::vector<TxnId> holders_scratch_;  // AddToGraph pre-orientation scan.
+  std::vector<TxnId> targets_scratch_;  // OrientAfterGrant batch.
 };
 
 }  // namespace wtpgsched

@@ -4,7 +4,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "metrics/counters.h"
 #include "sched/scheduler.h"
 
 namespace wtpgsched {
@@ -29,15 +28,8 @@ class TwoPlScheduler : public Scheduler {
 
   uint64_t deadlock_aborts() const { return deadlock_aborts_; }
 
-  void ExportCounters(CounterRegistry* registry) const override {
-    registry->Counter("twopl.deadlock_aborts") += deadlock_aborts_;
-  }
-
-  void RegisterGauges(GaugeRegistry* gauges) const override {
-    Scheduler::RegisterGauges(gauges);
-    gauges->Register("twopl.deadlock_aborts", [this] {
-      return static_cast<double>(deadlock_aborts_);
-    });
+  std::vector<NamedCounter> Counters() const override {
+    return {{"twopl.deadlock_aborts", &deadlock_aborts_}};
   }
 
  protected:

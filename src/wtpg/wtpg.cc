@@ -14,12 +14,6 @@ void EraseValue(std::vector<int32_t>* list, int32_t value) {
 
 }  // namespace
 
-void Wtpg::SetSparsePrecedence() {
-  WTPG_CHECK(slot_of_.empty() && edges_.empty())
-      << "sparse precedence mode must be set on an empty graph";
-  sparse_precedence_ = true;
-}
-
 int32_t Wtpg::SlotOf(TxnId id) const {
   const int32_t slot = SlotOrNull(id);
   WTPG_CHECK(slot >= 0) << "T" << id << " not in WTPG";
@@ -118,17 +112,6 @@ Wtpg::Edge* Wtpg::InsertEdge(int32_t sa, int32_t sb, const Edge& edge) {
   return entry;
 }
 
-Wtpg::Edge* Wtpg::EnsureEdgeForOrient(int32_t sa, int32_t sb) {
-  Edge* e = MutableEdgeBySlots(sa, sb);
-  if (e != nullptr) return e;
-  WTPG_CHECK(sparse_precedence_) << "OrientBatch: no edge";
-  const TxnId ida = slots_[static_cast<size_t>(sa)].id;
-  const TxnId idb = slots_[static_cast<size_t>(sb)].id;
-  return InsertEdge(sa, sb,
-                    Edge{std::min(ida, idb), std::max(ida, idb), 0.0, 0.0,
-                         false, kInvalidTxn});
-}
-
 const Wtpg::Edge* Wtpg::FindEdge(TxnId a, TxnId b) const {
   const int32_t sa = SlotOrNull(a);
   const int32_t sb = SlotOrNull(b);
@@ -214,39 +197,6 @@ bool Wtpg::HasPath(TxnId from, TxnId to) const {
   return slots_[static_cast<size_t>(st)].mark_fwd == epoch;
 }
 
-void Wtpg::AncestorsOf(TxnId id, std::vector<TxnId>* out) const {
-  const int32_t s = SlotOf(id);
-  MarkReachable(&s, 1, /*reverse=*/true, &visited_scratch_);
-  out->clear();
-  for (int32_t v : visited_scratch_) {
-    if (v != s) out->push_back(slots_[static_cast<size_t>(v)].id);
-  }
-}
-
-void Wtpg::DescendantsOf(TxnId id, std::vector<TxnId>* out) const {
-  const int32_t s = SlotOf(id);
-  MarkReachable(&s, 1, /*reverse=*/false, &visited_scratch_);
-  out->clear();
-  for (int32_t v : visited_scratch_) {
-    if (v != s) out->push_back(slots_[static_cast<size_t>(v)].id);
-  }
-}
-
-void Wtpg::ForceOrientSparse(TxnId from, TxnId to) {
-  WTPG_CHECK(sparse_precedence_);
-  const int32_t sf = SlotOf(from);
-  const int32_t st = SlotOf(to);
-  const Edge* e = EnsureEdgeForOrient(sf, st);
-  if (e->oriented) {
-    WTPG_CHECK(e->from == from)
-        << "ForceOrientSparse: T" << from << "->T" << to
-        << " contradicts the existing orientation";
-    return;
-  }
-  MarkOriented(sf, st, /*journal=*/nullptr);
-  if (dist_valid_ > 0) InvalidateDownstream(st);
-}
-
 bool Wtpg::OrientBatchImpl(TxnId from, const std::vector<TxnId>& targets,
                            OrientJournal* journal) {
   if (targets.empty()) return true;
@@ -268,8 +218,7 @@ bool Wtpg::OrientBatchImpl(TxnId from, const std::vector<TxnId>& targets,
     if (slots_[static_cast<size_t>(su)].mark_rev == a_epoch) {
       return false;  // u ~> from (covers an edge oriented u -> from).
     }
-    const Edge* e = sparse_precedence_ ? EnsureEdgeForOrient(sf, su)
-                                       : FindEdgeBySlots(sf, su);
+    const Edge* e = FindEdgeBySlots(sf, su);
     WTPG_CHECK(e != nullptr) << "OrientBatch: no edge T" << from << "-T" << u;
     if (e->oriented) continue;  // u ~> from excluded above, so from -> u.
     MarkOriented(sf, su, journal);
@@ -277,20 +226,6 @@ bool Wtpg::OrientBatchImpl(TxnId from, const std::vector<TxnId>& targets,
     new_targets_scratch_.push_back(su);
   }
   if (!any_new) return true;
-  if (sparse_precedence_) {
-    // No forced closure (see the class comment: reachability is unchanged
-    // without it). Memoized distances are still invalidated for hygiene —
-    // sparse clients never call CriticalPath, so dist_valid_ stays 0 and
-    // this costs nothing.
-    if (dist_valid_ > 0) {
-      MarkReachable(new_targets_scratch_.data(), new_targets_scratch_.size(),
-                    /*reverse=*/false, &visited_scratch_);
-      for (int32_t d : visited_scratch_) {
-        ClearDist(slots_[static_cast<size_t>(d)]);
-      }
-    }
-    return true;
-  }
   // Forced transitive closure over D' = nodes reachable from the *newly*
   // oriented targets. Walking the full descendant set D = descendants(from)
   // would also be correct, but D' suffices: a newly forced edge x->y needs
@@ -523,13 +458,9 @@ bool Wtpg::CheckInvariants() const {
     if (HasPath(to, edge.from)) return false;
   }
   // Closure fully applied: no unoriented edge with a connecting path.
-  // Sparse precedence mode maintains no closure (and its unoriented
-  // leftovers from rolled-back speculation are legitimately connected).
-  if (!sparse_precedence_) {
-    for (const auto& [key, edge] : edges) {
-      if (edge.oriented) continue;
-      if (HasPath(edge.a, edge.b) || HasPath(edge.b, edge.a)) return false;
-    }
+  for (const auto& [key, edge] : edges) {
+    if (edge.oriented) continue;
+    if (HasPath(edge.a, edge.b) || HasPath(edge.b, edge.a)) return false;
   }
   // Every memoized distance must match a fresh DP (stale memo entries are
   // exactly the bug class the journal can cause), no node may be stuck in

@@ -46,21 +46,6 @@ inline constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
 // The differential suites check every decision path against a naive
 // clone-and-discard oracle (tests/wtpg/reference_wtpg.h).
 //
-// Sparse precedence mode (SetSparsePrecedence) is for clients whose only
-// graph reads are reachability facts — C2PL's ancestor probes. It drops
-// the two pieces of state such clients cannot observe: conflict edges are
-// not pre-materialized (AddConflictEdge is never called; OrientBatch
-// creates the edge on demand, with zero weights, the first time a pair is
-// oriented) and the forced transitive closure is skipped. Neither changes
-// the reachability relation — a closure-forced edge x -> y exists only
-// where a directed path x ~> y already runs, and an unoriented conflict
-// edge carries no direction — so every AncestorsOf / HasPath / OrientBatch
-// verdict is identical to the dense graph's, while a saturated C2PL run
-// stops paying for millions of conflict-edge insertions, forced closure
-// marks and commit-time teardowns it never reads. Weighted queries
-// (CriticalPath, EvaluateGrant) are meaningless in this mode: on-demand
-// edges carry weight 0.
-//
 // CriticalPath() memoizes the per-node longest-path distances directly on
 // the nodes; mutations invalidate only the nodes whose distance can have
 // changed (the mutated node's oriented descendants), so LOW's K+1
@@ -76,9 +61,12 @@ inline constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
 // OpenTable) to a slot in a contiguous node slab recycled through a free
 // list, every internal walk — adjacency, reachability DFS, longest-path DP,
 // orientation closure — runs on 32-bit slot indices over contiguous memory,
-// and edges live in an OpenTable keyed by the packed 64-bit slot pair.
-// Saturated C2PL runs grow this graph to hundreds of nodes, so the
+// and edges live in an OpenTable keyed by the packed 64-bit slot pair. The
 // reachability paths keep dedicated oriented adjacency lists.
+//
+// GOW and LOW keep one each. C2PL reads only reachability, which it derives
+// from its lock table and pending declarations (sched/c2pl.h); it builds a
+// Wtpg only as a snapshot for inspection.
 class Wtpg {
  public:
   struct Edge {
@@ -113,11 +101,6 @@ class Wtpg {
   // Copyable by design (test harnesses and benches clone).
   Wtpg(const Wtpg&) = default;
   Wtpg& operator=(const Wtpg&) = default;
-
-  // Switches this graph to sparse precedence mode (see the class comment).
-  // Must be called before any node is added.
-  void SetSparsePrecedence();
-  bool sparse_precedence() const { return sparse_precedence_; }
 
   // --- Structure ---
 
@@ -184,19 +167,6 @@ class Wtpg {
 
   // True if a directed path from -> ... -> to exists over oriented edges.
   bool HasPath(TxnId from, TxnId to) const;
-
-  // All nodes with a directed path to / from `id` over oriented edges,
-  // excluding `id` itself, in DFS discovery order. Used by C2PL's deadlock
-  // prediction, sparse-mode removal compensation (see WtpgSchedulerBase)
-  // and tests.
-  void AncestorsOf(TxnId id, std::vector<TxnId>* out) const;
-  void DescendantsOf(TxnId id, std::vector<TxnId>* out) const;
-
-  // Sparse-mode only: records an already-determined precedence from -> to
-  // as a direct edge, materializing the pair's edge if absent — no cycle
-  // probe, no closure. A no-op if already oriented from -> to; CHECK-fails
-  // if oriented to -> from (the caller asserts the order is determined).
-  void ForceOrientSparse(TxnId from, TxnId to);
 
   // --- Queries ---
 
@@ -284,11 +254,6 @@ class Wtpg {
   // Inserts the edge (a, b) between slots sa and sb, with a < b, and links
   // the two slots as neighbors; CHECK-fails on duplicates.
   Edge* InsertEdge(int32_t sa, int32_t sb, const Edge& edge);
-  // Sparse-mode on-demand edge: returns the (sa, sb) edge, materializing an
-  // unoriented zero-weight one when absent.
-  // Outside sparse mode the edge must already exist.
-  Edge* EnsureEdgeForOrient(int32_t sa, int32_t sb);
-
   // Marks the edge oriented, updates adjacency, and (if non-null) records
   // the mark into *journal. The edge must be unoriented. Does NOT
   // invalidate memoized distances: every caller sits inside a batch
@@ -341,7 +306,6 @@ class Wtpg {
   // table's empty marker); every internal walk uses slots.
   OpenTable<uint64_t, int32_t> slot_of_;
   OpenTable<uint64_t, Edge> edges_;  // Keyed by PackSlots.
-  bool sparse_precedence_ = false;
   // Epoch source for MarkReachable and count of nodes whose memoized
   // distance is currently valid (fast empty test for invalidation).
   mutable uint64_t epoch_ = 0;

@@ -1,7 +1,8 @@
 // Machine-level fault injection: crashed DPNs fail their resident cohorts
 // and the victims restart cleanly; stragglers stretch scans; injected
 // aborts pick deterministic victims; and none of it leaks scheduler state
-// (lock table entries, WTPG nodes) or breaks the jobs-invariance contract.
+// (lock table entries, WTPG nodes, C2PL's durable orders) or breaks the
+// jobs-invariance contract.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 
 #include "driver/sim_run.h"
 #include "machine/machine.h"
+#include "sched/c2pl.h"
 #include "sched/scheduler.h"
 #include "workload/pattern.h"
 
@@ -48,14 +50,15 @@ bool HasFaultCounters(const RunStats& stats) {
 }
 
 // Structural leak check after a run: every lock in the table belongs to a
-// transaction the scheduler still considers active, and (for WTPG
-// schedulers) the graph holds exactly the active transactions.
+// transaction the scheduler still considers active, the graph of GOW and
+// LOW holds exactly the active transactions, and C2PL's durable orders name
+// only active ones.
 void ExpectNoSchedulerLeaks(Machine& machine) {
   const Scheduler& sched = machine.scheduler();
   const auto& active = sched.active();
   const int num_files = machine.config().machine.num_files;
   for (FileId file = 0; file < num_files; ++file) {
-    for (const auto& holder : sched.lock_table().GetHolders(file)) {
+    for (const auto& holder : sched.lock_table().HoldersOf(file)) {
       EXPECT_TRUE(active.count(holder.txn) > 0)
           << "F" << file << " locked by non-active T" << holder.txn;
     }
@@ -65,6 +68,12 @@ void ExpectNoSchedulerLeaks(Machine& machine) {
     for (const auto& [id, txn] : active) {
       (void)txn;
       EXPECT_TRUE(wtpg->graph().HasNode(id)) << "active T" << id;
+    }
+  }
+  if (const auto* c2pl = dynamic_cast<const C2plScheduler*>(&sched)) {
+    for (const auto& [from, to] : c2pl->durable_orders()) {
+      EXPECT_TRUE(active.count(from) > 0 && active.count(to) > 0)
+          << "durable order T" << from << " -> T" << to;
     }
   }
 }

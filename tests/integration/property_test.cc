@@ -7,6 +7,7 @@
 
 #include "analysis/serializability.h"
 #include "machine/machine.h"
+#include "sched/c2pl.h"
 
 namespace wtpgsched {
 namespace {
@@ -87,8 +88,9 @@ std::vector<SweepCase> MakeCases() {
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, SchedulerPropertyTest,
                          testing::ValuesIn(MakeCases()), CaseName);
 
-// The WTPG maintained by the graph-based schedulers must satisfy its
-// invariants at end of run (spot check via a fresh run that stops mid-way).
+// The precedence state of the graph-based schedulers must be empty and
+// consistent once a finite workload drains: GOW's and LOW's WTPG, and
+// C2PL's durable orders and pending declarations.
 class GraphInvariantTest : public testing::TestWithParam<SchedulerKind> {};
 
 TEST_P(GraphInvariantTest, GraphEmptyAfterDrain) {
@@ -102,6 +104,13 @@ TEST_P(GraphInvariantTest, GraphEmptyAfterDrain) {
   c.run.seed = 5;
   Machine m(c, Pattern::Experiment1(8));
   m.Run();
+  if (const auto* c2pl = dynamic_cast<const C2plScheduler*>(&m.scheduler())) {
+    EXPECT_TRUE(c2pl->durable_orders().empty());
+    for (FileId file = 0; file < c.machine.num_files; ++file) {
+      EXPECT_TRUE(c2pl->pending().Of(file).items.empty()) << "file " << file;
+    }
+    return;
+  }
   auto& sched = static_cast<WtpgSchedulerBase&>(m.scheduler());
   EXPECT_EQ(sched.graph().num_nodes(), 0u);
   EXPECT_EQ(sched.graph().num_edges(), 0u);

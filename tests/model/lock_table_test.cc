@@ -23,7 +23,7 @@ TEST(LockTableTest, SharedLocksCoexist) {
   table.Grant(0, 1, kS);
   EXPECT_TRUE(table.CanGrant(0, 2, kS));
   table.Grant(0, 2, kS);
-  EXPECT_EQ(table.GetHolders(0).size(), 2u);
+  EXPECT_EQ(table.HoldersOf(0).size(), 2u);
 }
 
 TEST(LockTableTest, ExclusiveBlocksOthers) {
@@ -84,7 +84,7 @@ TEST(LockTableTest, ForceGrantIgnoresCompatibility) {
   LockTable table;
   table.Grant(0, 1, kX);
   table.ForceGrant(0, 2, kX);  // NODC: conflicting X holders coexist.
-  EXPECT_EQ(table.GetHolders(0).size(), 2u);
+  EXPECT_EQ(table.HoldersOf(0).size(), 2u);
   std::vector<FileId> released = table.ReleaseAll(2);
   EXPECT_EQ(released, (std::vector<FileId>{0}));
   EXPECT_TRUE(table.Holds(0, 1));
@@ -94,12 +94,15 @@ TEST(LockTableTest, ConflictingHolders) {
   LockTable table;
   table.Grant(0, 1, kS);
   table.Grant(0, 2, kS);
-  EXPECT_TRUE(table.ConflictingHolders(0, 3, kS).empty());
-  std::vector<TxnId> conflicting = table.ConflictingHolders(0, 3, kX);
+  std::vector<TxnId> conflicting = {7};  // Cleared before filling.
+  table.ConflictingHolders(0, 3, kS, &conflicting);
+  EXPECT_TRUE(conflicting.empty());
+  table.ConflictingHolders(0, 3, kX, &conflicting);
   std::sort(conflicting.begin(), conflicting.end());
   EXPECT_EQ(conflicting, (std::vector<TxnId>{1, 2}));
   // The requester itself is never reported.
-  EXPECT_EQ(table.ConflictingHolders(0, 1, kX), (std::vector<TxnId>{2}));
+  table.ConflictingHolders(0, 1, kX, &conflicting);
+  EXPECT_EQ(conflicting, (std::vector<TxnId>{2}));
 }
 
 TEST(LockTableTest, Counters) {
@@ -117,7 +120,7 @@ TEST(LockTableTest, RegrantSameModeIdempotent) {
   LockTable table;
   table.Grant(0, 1, kX);
   table.Grant(0, 1, kX);
-  EXPECT_EQ(table.GetHolders(0).size(), 1u);
+  EXPECT_EQ(table.HoldersOf(0).size(), 1u);
 }
 
 // Files are looked up through a FileId -> slot index, so a sparse id near

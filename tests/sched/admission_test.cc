@@ -37,9 +37,11 @@ TEST(AdmissionControlTest, GatesLowPriorityAtLimit) {
   EXPECT_EQ(sched.OnStartup(t3).kind, DecisionKind::kDelay);
   EXPECT_EQ(sched.admission_gated(), 1u);
   // The gated transaction was refused ahead of DecideStartup: it must not
-  // have been registered with the scheduler or added to the graph.
+  // have been registered with the scheduler or its declarations entered.
   EXPECT_EQ(sched.num_active(), 2u);
-  EXPECT_EQ(sched.graph().num_nodes(), 2u);
+  EXPECT_EQ(sched.pending().Of(0).items.size(), 1u);
+  EXPECT_EQ(sched.pending().Of(1).items.size(), 1u);
+  EXPECT_TRUE(sched.pending().Of(2).items.empty());
 }
 
 TEST(AdmissionControlTest, HighPriorityBypassesGate) {

@@ -1,5 +1,6 @@
 #include "sched/c2pl.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -18,6 +19,15 @@ Transaction MakeModeTxn(TxnId id,
     steps.push_back({file, mode, mode, 1.0, 1.0});
   }
   return Transaction(id, std::move(steps));
+}
+
+// True when the C2PL precedence derived from the lock table, the pending
+// declarations and the durable orders puts `before` ahead of `after`.
+bool Precedes(const C2plScheduler& sched, TxnId before, TxnId after) {
+  std::vector<TxnId> ancestors;
+  sched.Ancestors(after, &ancestors);
+  return std::find(ancestors.begin(), ancestors.end(), before) !=
+         ancestors.end();
 }
 
 TEST(C2plTest, NameReflectsMpl) {
@@ -55,7 +65,7 @@ TEST(C2plTest, DelaysDeadlockProneRequest) {
   sched.OnStartup(t1);
   sched.OnStartup(t2);
   ASSERT_EQ(sched.OnLockRequest(t1, 0).kind, DecisionKind::kGrant);
-  EXPECT_TRUE(sched.graph().IsOriented(1, 2));
+  EXPECT_TRUE(Precedes(sched, 1, 2));
   EXPECT_EQ(sched.OnLockRequest(t2, 0).kind, DecisionKind::kDelay);
 }
 
@@ -104,8 +114,8 @@ TEST(C2plTest, AncestorPendingExclusiveDelaysSharedAndExclusive) {
   sched.OnStartup(t2);
   sched.OnStartup(t3);
   ASSERT_EQ(sched.OnLockRequest(t1, 0).kind, DecisionKind::kGrant);
-  ASSERT_TRUE(sched.graph().IsOriented(1, 2));
-  ASSERT_TRUE(sched.graph().IsOriented(1, 3));
+  ASSERT_TRUE(Precedes(sched, 1, 2));
+  ASSERT_TRUE(Precedes(sched, 1, 3));
   EXPECT_EQ(sched.OnLockRequest(t2, 0).kind, DecisionKind::kDelay);
   EXPECT_EQ(sched.OnLockRequest(t3, 0).kind, DecisionKind::kDelay);
   EXPECT_EQ(sched.predicted_deadlocks(), 2u);
@@ -122,7 +132,7 @@ TEST(C2plTest, AncestorPendingSharedDoesNotDelaySharedRequest) {
   sched.OnStartup(t1);
   sched.OnStartup(t2);
   ASSERT_EQ(sched.OnLockRequest(t1, 0).kind, DecisionKind::kGrant);
-  ASSERT_TRUE(sched.graph().IsOriented(1, 2));
+  ASSERT_TRUE(Precedes(sched, 1, 2));
   EXPECT_EQ(sched.OnLockRequest(t2, 0).kind, DecisionKind::kGrant);
   EXPECT_EQ(sched.predicted_deadlocks(), 0u);
 }
@@ -139,10 +149,88 @@ TEST(C2plTest, NonAncestorPendingConflicterDoesNotDelay) {
   sched.OnStartup(t2);
   sched.OnStartup(t3);
   ASSERT_EQ(sched.OnLockRequest(t1, 0).kind, DecisionKind::kGrant);
-  ASSERT_TRUE(sched.graph().IsOriented(1, 2));
+  ASSERT_TRUE(Precedes(sched, 1, 2));
+  EXPECT_FALSE(Precedes(sched, 3, 2));
   EXPECT_EQ(sched.OnLockRequest(t2, 0).kind, DecisionKind::kGrant);
-  EXPECT_TRUE(sched.graph().IsOriented(2, 3));
+  EXPECT_TRUE(Precedes(sched, 2, 3));
   EXPECT_EQ(sched.predicted_deadlocks(), 0u);
+}
+
+TEST(C2plTest, AncestorsFollowReverseReachability) {
+  // Grants fix 1 -> 2 (file 0) and 2 -> 3 (file 1).
+  C2plScheduler sched(0);
+  Transaction t1 = MakeXTxn(1, {0});
+  Transaction t2 = MakeXTxn(2, {1, 0});
+  Transaction t3 = MakeXTxn(3, {1});
+  sched.OnStartup(t1);
+  sched.OnStartup(t2);
+  sched.OnStartup(t3);
+  ASSERT_EQ(sched.OnLockRequest(t1, 0).kind, DecisionKind::kGrant);
+  ASSERT_EQ(sched.OnLockRequest(t2, 0).kind, DecisionKind::kGrant);
+  std::vector<TxnId> found;
+  sched.Ancestors(3, &found);
+  std::sort(found.begin(), found.end());
+  EXPECT_EQ(found, (std::vector<TxnId>{1, 2}));
+  sched.Ancestors(2, &found);
+  EXPECT_EQ(found, std::vector<TxnId>{1});
+  sched.Ancestors(1, &found);
+  EXPECT_TRUE(found.empty());
+  sched.Descendants(1, &found);
+  std::sort(found.begin(), found.end());
+  EXPECT_EQ(found, (std::vector<TxnId>{2, 3}));
+}
+
+// Admission orders nothing; a grant orders the grantee before every
+// pending conflicter, and only for as long as the conflicter waits.
+TEST(C2plTest, GrantOrdersGranteeBeforePendingConflicters) {
+  C2plScheduler sched(/*ddtime=*/0);
+  Transaction t1 = MakeXTxn(1, {0, 1});
+  Transaction t2 = MakeXTxn(2, {1, 2});
+  sched.OnStartup(t1);
+  sched.OnStartup(t2);
+  std::vector<TxnId> found;
+  sched.Descendants(1, &found);
+  EXPECT_TRUE(found.empty());
+  sched.Descendants(2, &found);
+  EXPECT_TRUE(found.empty());
+  sched.OnLockRequest(t1, 1);  // T1 takes file 1 while T2 declares it.
+  sched.Descendants(1, &found);
+  EXPECT_EQ(found, std::vector<TxnId>{2});
+  const Wtpg snapshot = sched.PrecedenceSnapshot();
+  EXPECT_EQ(snapshot.num_nodes(), 2u);
+  EXPECT_EQ(snapshot.num_edges(), 1u);
+  EXPECT_TRUE(snapshot.IsOriented(1, 2));
+  EXPECT_TRUE(snapshot.CheckInvariants());
+  sched.OnLockRequest(t1, 0);
+  sched.OnCommit(t1);
+  sched.Ancestors(2, &found);
+  EXPECT_TRUE(found.empty());
+  EXPECT_TRUE(sched.durable_orders().empty());
+}
+
+// An order fixed through an intermediary outlives it. T1 -> T2 -> T3 with
+// (T1, T3) conflicting: after T2 aborts, T3 granting a lock that would put
+// T3 before T1 must still be recognized as a cycle.
+TEST(C2plTest, DurableOrderSurvivesIntermediaryAbort) {
+  C2plScheduler sched(/*ddtime=*/0);
+  Transaction t1 = MakeXTxn(1, {0, 9});
+  Transaction t2 = MakeXTxn(2, {0, 1});
+  Transaction t3 = MakeXTxn(3, {1, 9});
+  sched.OnStartup(t1);
+  sched.OnStartup(t2);
+  sched.OnStartup(t3);
+  ASSERT_EQ(sched.OnLockRequest(t1, 0).kind, DecisionKind::kGrant);  // 1->2
+  ASSERT_EQ(sched.OnLockRequest(t2, 1).kind, DecisionKind::kGrant);  // 2->3
+  EXPECT_TRUE(sched.durable_orders().empty());
+  sched.OnAbort(t2);  // Intermediary leaves; T1 ~> T3 must persist.
+  EXPECT_EQ(sched.durable_orders(),
+            (std::vector<std::pair<TxnId, TxnId>>{{1, 3}}));
+  EXPECT_TRUE(Precedes(sched, 1, 3));
+  EXPECT_EQ(sched.OnLockRequest(t3, 1).kind, DecisionKind::kDelay);
+  sched.OnLockRequest(t1, 1);
+  sched.OnCommit(t1);  // Either end leaving drops the order.
+  EXPECT_TRUE(sched.durable_orders().empty());
+  EXPECT_EQ(sched.OnLockRequest(t3, 1).kind, DecisionKind::kGrant);
 }
 
 TEST(C2plTest, MplLimitsAdmission) {

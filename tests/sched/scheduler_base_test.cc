@@ -8,11 +8,9 @@
 namespace wtpgsched {
 namespace {
 
-// The WtpgSchedulerBase plumbing is exercised through two exemplars: a
-// minimal always-grant subclass that keeps the default *dense* graph
-// (conflict edges materialized at admission, forced closure maintained),
-// and C2PL, whose constructor switches its graph to sparse precedence mode
-// (edges materialize on demand at orientation time).
+// The WtpgSchedulerBase plumbing is exercised through a minimal subclass
+// that grants every compatible request and orients its grants (conflict
+// edges materialized at admission, forced closure maintained).
 class DenseTestScheduler : public WtpgSchedulerBase {
  public:
   std::string name() const override { return "DenseTest"; }
@@ -67,7 +65,7 @@ TEST(WtpgSchedulerBaseTest, GraphWeightsFromDeclarations) {
 }
 
 TEST(WtpgSchedulerBaseTest, StepCompletionUpdatesT0Weight) {
-  C2plScheduler sched(0);
+  DenseTestScheduler sched;
   Transaction t1 = MakeXTxnCosts(1, {{0, 1.0}, {1, 3.0}});
   sched.OnStartup(t1);
   sched.OnLockRequest(t1, 0);
@@ -77,7 +75,7 @@ TEST(WtpgSchedulerBaseTest, StepCompletionUpdatesT0Weight) {
 }
 
 TEST(WtpgSchedulerBaseTest, HolderPreOrientedAgainstNewcomer) {
-  C2plScheduler sched(0);
+  DenseTestScheduler sched;
   Transaction t1 = MakeXTxn(1, {0});
   sched.OnStartup(t1);
   EXPECT_EQ(sched.OnLockRequest(t1, 0).kind, DecisionKind::kGrant);
@@ -88,7 +86,7 @@ TEST(WtpgSchedulerBaseTest, HolderPreOrientedAgainstNewcomer) {
 }
 
 TEST(WtpgSchedulerBaseTest, CommitReleasesLocksAndGraphNode) {
-  C2plScheduler sched(0);
+  DenseTestScheduler sched;
   Transaction t1 = MakeXTxn(1, {0, 1});
   sched.OnStartup(t1);
   sched.OnLockRequest(t1, 0);
@@ -101,7 +99,7 @@ TEST(WtpgSchedulerBaseTest, CommitReleasesLocksAndGraphNode) {
 }
 
 TEST(WtpgSchedulerBaseTest, GrantRecordsLock) {
-  C2plScheduler sched(0);
+  DenseTestScheduler sched;
   Transaction t1 = MakeXTxn(1, {7});
   sched.OnStartup(t1);
   EXPECT_EQ(sched.OnLockRequest(t1, 0).kind, DecisionKind::kGrant);
@@ -117,46 +115,6 @@ TEST(WtpgSchedulerBaseTest, GrantOrientsAgainstPendingConflicters) {
   EXPECT_FALSE(sched.graph().FindEdge(1, 2)->oriented);
   sched.OnLockRequest(t1, 1);  // t1 takes file 1 first.
   EXPECT_TRUE(sched.graph().IsOriented(1, 2));
-}
-
-// C2PL's graph runs in sparse precedence mode: admission materializes no
-// conflict edges; the pair's edge appears — already oriented — the first
-// time an orientation touches it, and reachability verdicts match what the
-// dense closure would answer.
-TEST(WtpgSchedulerBaseTest, SparseC2plMaterializesEdgesOnDemand) {
-  C2plScheduler sched(/*ddtime=*/0);
-  ASSERT_TRUE(sched.graph().sparse_precedence());
-  Transaction t1 = MakeXTxn(1, {0, 1});
-  Transaction t2 = MakeXTxn(2, {1, 2});
-  sched.OnStartup(t1);
-  sched.OnStartup(t2);
-  EXPECT_EQ(sched.graph().num_nodes(), 2u);
-  EXPECT_EQ(sched.graph().num_edges(), 0u);  // No pre-materialized edges.
-  sched.OnLockRequest(t1, 1);  // Grant orients 1 -> 2 on demand.
-  EXPECT_EQ(sched.graph().num_edges(), 1u);
-  EXPECT_TRUE(sched.graph().IsOriented(1, 2));
-  EXPECT_TRUE(sched.graph().CheckInvariants());
-}
-
-// Sparse-mode removal compensation: precedence determined through an
-// intermediary must survive the intermediary's removal, exactly as the
-// dense closure's forced edges do. T1 -> T2 -> T3 with (T1, T3)
-// conflicting: after T2 aborts, T3 granting a lock that would force
-// T3 -> T1 must still be recognized as a cycle.
-TEST(WtpgSchedulerBaseTest, SparseCompensationSurvivesIntermediaryRemoval) {
-  C2plScheduler sched(/*ddtime=*/0);
-  Transaction t1 = MakeXTxn(1, {0, 9});
-  Transaction t2 = MakeXTxn(2, {0, 1});
-  Transaction t3 = MakeXTxn(3, {1, 9});
-  sched.OnStartup(t1);
-  sched.OnStartup(t2);
-  sched.OnStartup(t3);
-  ASSERT_EQ(sched.OnLockRequest(t1, 0).kind, DecisionKind::kGrant);  // 1->2
-  ASSERT_EQ(sched.OnLockRequest(t2, 1).kind, DecisionKind::kGrant);  // 2->3
-  sched.OnAbort(t2);  // Intermediary leaves; T1 ~> T3 must persist.
-  EXPECT_TRUE(sched.graph().IsOriented(1, 3));  // Compensated direct edge.
-  EXPECT_EQ(sched.OnLockRequest(t3, 1).kind, DecisionKind::kDelay);
-  EXPECT_TRUE(sched.graph().CheckInvariants());
 }
 
 TEST(WtpgSchedulerBaseTest, DefaultCostsAreZero) {

@@ -282,8 +282,7 @@ std::string ReferenceWtpg::Diff(const Wtpg& production) const {
   return "";
 }
 
-std::string RollbackDiff(const Wtpg& before, const Wtpg& after,
-                         bool neighbors_may_grow) {
+std::string RollbackDiff(const Wtpg& before, const Wtpg& after) {
   if (after.Nodes() != before.Nodes()) {
     return "nodes " + List(after.Nodes()) + " vs before " +
            List(before.Nodes());
@@ -294,9 +293,7 @@ std::string RollbackDiff(const Wtpg& before, const Wtpg& after,
       return node + " remaining changed";
     }
     const std::vector<TxnId> was = before.Neighbors(id);
-    std::vector<TxnId> now = after.Neighbors(id);
-    if (neighbors_may_grow && now.size() > was.size()) now.resize(was.size());
-    if (now != was) {
+    if (after.Neighbors(id) != was) {
       return node + " neighbors " + List(after.Neighbors(id)) +
              " vs before " + List(was);
     }
@@ -318,7 +315,7 @@ std::string RollbackDiff(const Wtpg& before, const Wtpg& after,
       }
     }
   }
-  if (!neighbors_may_grow && after.num_edges() != before.num_edges()) {
+  if (after.num_edges() != before.num_edges()) {
     return "edge count changed";
   }
   return "";

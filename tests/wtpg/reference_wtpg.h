@@ -17,8 +17,9 @@ namespace wtpgsched {
 // reachability is a plain BFS over that map, forced closure is a fixpoint
 // loop, every orientation works on a clone that is kept only on success,
 // and CriticalPath is a fresh longest-path DP per call. Sparse precedence
-// mode skips the closure and materializes conflict edges on demand, as in
-// production.
+// mode skips the closure and materializes conflict edges on demand: it is
+// the stored precedence graph of the C2PL oracle (tests/sched/
+// reference_c2pl.h).
 class ReferenceWtpg {
  public:
   // Must be called on an empty graph.
@@ -37,9 +38,11 @@ class ReferenceWtpg {
   // Wtpg::OrientBatch, kept on success when `keep`, discarded otherwise
   // (a speculation that the caller rolls back). Either way, and on
   // failure, sparse mode keeps the on-demand edges of the targets checked
-  // before the failing one, unoriented — exactly what production leaves.
+  // before the failing one, unoriented.
   bool OrientBatch(TxnId from, const std::vector<TxnId>& targets, bool keep);
-  // Wtpg::ForceOrientSparse: a direct edge, no cycle probe, no closure.
+  // Sparse mode: records an already-determined order from -> to as a
+  // direct edge, materializing the pair's edge if absent — no cycle probe,
+  // no closure. Throws if the pair is oriented to -> from.
   void ForceOrientSparse(TxnId from, TxnId to);
 
   bool WouldCycle(TxnId from, const std::vector<TxnId>& targets) const;
@@ -80,11 +83,7 @@ class ReferenceWtpg {
 
 // Empty when `after` shows exactly the state of `before`, adjacency-list
 // order included — the check that a speculation rolled back byte for byte.
-// With neighbors_may_grow (sparse mode) each neighbor list of `before`
-// need only be a prefix of `after`'s: the on-demand edges a speculation
-// materializes stay behind, unoriented, at the back of the lists.
-std::string RollbackDiff(const Wtpg& before, const Wtpg& after,
-                         bool neighbors_may_grow = false);
+std::string RollbackDiff(const Wtpg& before, const Wtpg& after);
 
 // Would g.TryOrient(from, to) succeed? False when the pair has no edge.
 // Speculates with OrientBatch and rolls back, so `g` ends unchanged.

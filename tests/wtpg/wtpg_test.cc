@@ -174,24 +174,6 @@ TEST(WtpgTest, RemoveNodeDropsEdges) {
   EXPECT_TRUE(g.CheckInvariants());
 }
 
-TEST(WtpgTest, AncestorsOfFollowsReverseReachability) {
-  Wtpg g;
-  for (TxnId id : {1, 2, 3}) g.AddNode(id, 0.0);
-  g.AddConflictEdge(1, 2, 1.0, 1.0);
-  g.AddConflictEdge(2, 3, 1.0, 1.0);
-  g.AddConflictEdge(1, 3, 1.0, 1.0);
-  g.TryOrient(1, 2);
-  g.TryOrient(2, 3);
-  std::vector<TxnId> ancestors;
-  g.AncestorsOf(3, &ancestors);
-  std::sort(ancestors.begin(), ancestors.end());
-  EXPECT_EQ(ancestors, (std::vector<TxnId>{1, 2}));
-  g.AncestorsOf(2, &ancestors);
-  EXPECT_EQ(ancestors, std::vector<TxnId>{1});
-  g.AncestorsOf(1, &ancestors);
-  EXPECT_TRUE(ancestors.empty());
-}
-
 TEST(WtpgTest, OrientBatchOrientsAllTargets) {
   Wtpg g;
   for (TxnId id : {1, 2, 3, 4}) g.AddNode(id, 0.0);

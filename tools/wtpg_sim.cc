@@ -15,6 +15,7 @@
 #include "analysis/serializability.h"
 #include "driver/sim_run.h"
 #include "machine/machine.h"
+#include "sched/c2pl.h"
 #include "telemetry/telemetry_export.h"
 #include "trace/trace_export.h"
 #include "util/common_flags.h"
@@ -160,20 +161,26 @@ int main(int argc, char** argv) {
 
   Machine machine(config, std::move(pattern));
 
-  // Optional WTPG snapshot: schedule a dump before running.
+  // Optional WTPG snapshot: schedule a dump before running. GOW and LOW
+  // keep their graph; C2PL builds one from its derived precedence.
   std::string dot_snapshot;
   if (!flags.GetString("dot-out").empty()) {
-    auto* graph_scheduler =
-        dynamic_cast<WtpgSchedulerBase*>(&machine.scheduler());
-    if (graph_scheduler == nullptr) {
+    const Scheduler* scheduler = &machine.scheduler();
+    const auto* graph_scheduler =
+        dynamic_cast<const WtpgSchedulerBase*>(scheduler);
+    const auto* c2pl = dynamic_cast<const C2plScheduler*>(scheduler);
+    if (graph_scheduler == nullptr && c2pl == nullptr) {
       std::fprintf(stderr,
                    "--dot-out requires a WTPG scheduler (c2pl/gow/low)\n");
       return 2;
     }
     machine.simulator().ScheduleAt(
         MsToTime(flags.GetDouble("dot-at-ms")),
-        [graph_scheduler, &dot_snapshot] {
-          dot_snapshot = ToDot(graph_scheduler->graph(), "WTPG snapshot");
+        [graph_scheduler, c2pl, &dot_snapshot] {
+          dot_snapshot =
+              ToDot(graph_scheduler != nullptr ? graph_scheduler->graph()
+                                               : c2pl->PrecedenceSnapshot(),
+                    "WTPG snapshot");
         });
   }
 
