@@ -509,7 +509,7 @@ int main(int argc, char** argv) {
   JsonWriter json;
   json.Add("bench", "sim_core")
       .Add("smoke", smoke)
-      .Add("hardware_threads", ThreadPool::HardwareThreads())
+      .Add("hardware_threads", HardwareThreads())
       .Add("sanitized", sanitized)
       .Add("c2pl_floor_events_per_s", c2pl_floor)
       .Add("schedule_pop_speedup", schedule_pop_speedup)

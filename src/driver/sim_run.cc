@@ -149,7 +149,7 @@ int DefaultJobs() {
                         << "' is not a positive integer; using hardware "
                            "concurrency";
     }
-    return ThreadPool::HardwareThreads();
+    return HardwareThreads();
   }();
   return jobs;
 }

@@ -23,7 +23,8 @@ RunStats RunSimulation(const SimConfig& config,
 //
 // Every experiment is a batch of *independent* replicas — (scheduler, rate /
 // MPL / DD, seed) triples — so the harness fans Machine::Run() calls out to
-// a fixed worker pool and reduces the results in submission order.
+// `jobs` workers (ParallelFor, util/thread_pool.h) and reduces the results in
+// submission order.
 //
 // Determinism contract: for any `jobs` value the output is bit-identical to
 // the serial path. Each replica's Machine is fully self-contained (own RNG
@@ -102,9 +103,9 @@ AggregateResult RunAggregate(SimConfig config,
                              int num_seeds, int jobs = 0);
 
 // Expands each base config into `num_seeds` replicas (seed = base.run.seed + i),
-// runs the whole batch through one pool, and reduces per base. Equivalent to
-// calling RunAggregate per base, but a single fan-out keeps all cores busy
-// across the entire rate x seed (or MPL x seed) grid.
+// runs the whole batch through one ParallelFor, and reduces per base.
+// Equivalent to calling RunAggregate per base, but a single fan-out keeps all
+// cores busy across the entire rate x seed (or MPL x seed) grid.
 std::vector<AggregateResult> RunAggregates(const std::vector<SimConfig>& bases,
                                            const Pattern& pattern,
                                            int num_seeds, int jobs = 0);

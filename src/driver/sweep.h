@@ -1,6 +1,7 @@
 #ifndef WTPG_SCHED_DRIVER_SWEEP_H_
 #define WTPG_SCHED_DRIVER_SWEEP_H_
 
+#include <functional>
 #include <vector>
 
 #include "driver/sim_run.h"
@@ -29,14 +30,37 @@ struct OperatingPoint {
 };
 
 // Bisects arrival rate in [lo_tps, hi_tps] until mean response time is
-// within `tol_s` of `target_s` (or `iters` halvings elapse). Response time
-// is monotone (noisily) increasing in arrival rate. The two bracket probes
-// run concurrently; within every probe the seeds fan out.
+// within `tol_s` of `target_s` (or `iters` halvings elapse), and reports the
+// probe closest to the target. Response time is monotone (noisily)
+// increasing in arrival rate.
+//
+// The probes run in batches, `num_seeds` replicas each. The bisection below
+// an interval is known before any of its probes returns, so a batch holds
+// the complete subtree of the next d levels: 2^d - 1 midpoints, d the
+// largest depth whose replicas fit the ResolveJobs(jobs) workers (at least
+// 1, at most the iterations left). The first batch holds the two brackets
+// plus the levels that fit beside them. The search then walks the serial
+// path through the batch and drops the probes off it. Each midpoint is
+// computed from the same doubles and each probe runs the same seeds as in a
+// one-probe-per-batch search, so the OperatingPoint is bit-identical for
+// any jobs; below 3 x num_seeds workers every batch is one level.
 OperatingPoint FindRateForResponseTime(const SimConfig& base,
                                        const Pattern& pattern,
                                        double target_s, double lo_tps,
                                        double hi_tps, int num_seeds,
                                        int iters, double tol_s, int jobs = 0);
+
+// Evaluates one batch of the search's probes: the aggregate over the seeds
+// at each arrival rate, in input order.
+using ProbeRunner = std::function<std::vector<AggregateResult>(
+    const std::vector<double>& rates)>;
+
+// FindRateForResponseTime with the batches sized for `workers` and handed
+// to `run`, which a test can replace with a fake.
+OperatingPoint BisectRateForResponseTime(double target_s, double lo_tps,
+                                         double hi_tps, int num_seeds,
+                                         int iters, double tol_s, int workers,
+                                         const ProbeRunner& run);
 
 struct SweepPoint {
   double lambda_tps = 0.0;

@@ -7,6 +7,14 @@
 #include "util/string_util.h"
 
 namespace wtpgsched {
+namespace {
+
+// Orders a declared file before `file` (declarations are sorted by file).
+constexpr auto kBeforeFile = [](const auto& declared, FileId file) {
+  return declared.file < file;
+};
+
+}  // namespace
 
 Transaction::Transaction(TxnId id, std::vector<StepSpec> steps)
     : id_(id), steps_(std::move(steps)) {
@@ -15,30 +23,42 @@ Transaction::Transaction(TxnId id, std::vector<StepSpec> steps)
     const StepSpec& s = steps_[static_cast<size_t>(i)];
     WTPG_CHECK_GE(s.actual_cost, 0.0);
     WTPG_CHECK_GE(s.declared_cost, 0.0);
-    auto [it, inserted] = first_step_.emplace(s.file, i);
-    (void)it;
     // The strongest lock mode this transaction ever needs on the file. The
     // request mode of the first step must already cover every later access;
     // workload patterns guarantee this (it models predeclared locking).
-    LockMode needed = Stronger(s.access, s.request_mode);
-    auto [mit, minserted] = lock_modes_.emplace(s.file, needed);
-    if (!minserted) mit->second = Stronger(mit->second, needed);
-    if (!inserted) {
-      // A later step on an already-locked file: the first request must have
-      // declared a mode covering this access.
+    const LockMode needed = Stronger(s.access, s.request_mode);
+    const auto it = std::lower_bound(declared_.begin(), declared_.end(),
+                                     s.file, kBeforeFile);
+    if (it != declared_.end() && it->file == s.file) {
+      it->mode = Stronger(it->mode, needed);
+    } else {
+      declared_.insert(it, DeclaredFile{s.file, needed, i});
     }
   }
-  for (const auto& [file, mode] : lock_modes_) {
-    const StepSpec& first = steps_[static_cast<size_t>(first_step_.at(file))];
-    WTPG_CHECK(Stronger(first.request_mode, mode) == first.request_mode)
+  for (const DeclaredFile& d : declared_) {
+    const StepSpec& first = steps_[static_cast<size_t>(d.first_step)];
+    WTPG_CHECK(Stronger(first.request_mode, d.mode) == first.request_mode)
         << "step requesting " << LockModeName(first.request_mode) << " on file "
-        << file << " does not cover later " << LockModeName(mode) << " access";
+        << d.file << " does not cover later " << LockModeName(d.mode)
+        << " access";
   }
 }
 
+const Transaction::DeclaredFile* Transaction::Find(FileId file) const {
+  const auto it =
+      std::lower_bound(declared_.begin(), declared_.end(), file, kBeforeFile);
+  return it != declared_.end() && it->file == file ? &*it : nullptr;
+}
+
+LockMode Transaction::LockModeOf(FileId file) const {
+  const DeclaredFile* d = Find(file);
+  WTPG_CHECK(d != nullptr) << "T" << id_ << " does not declare file " << file;
+  return d->mode;
+}
+
 int Transaction::FirstStepFor(FileId file) const {
-  auto it = first_step_.find(file);
-  return it == first_step_.end() ? -1 : it->second;
+  const DeclaredFile* d = Find(file);
+  return d == nullptr ? -1 : d->first_step;
 }
 
 bool Transaction::NeedsLockAt(int i) const {
@@ -49,27 +69,27 @@ bool Transaction::NeedsLockAt(int i) const {
 
 LockMode Transaction::RequestModeAt(int i) const {
   WTPG_CHECK(NeedsLockAt(i));
-  return lock_modes_.at(steps_[static_cast<size_t>(i)].file);
+  return LockModeOf(steps_[static_cast<size_t>(i)].file);
 }
 
 bool Transaction::ConflictsWith(const Transaction& other) const {
-  // lock_modes_ maps are small (a handful of files); linear merge-scan.
-  for (const auto& [file, mode] : lock_modes_) {
-    auto it = other.lock_modes_.find(file);
-    if (it != other.lock_modes_.end() && Conflicts(mode, it->second)) {
-      return true;
-    }
-  }
-  return false;
+  return FirstConflictingStep(other) != -1;
 }
 
 int Transaction::FirstConflictingStep(const Transaction& other) const {
+  // Both declarations are sorted by file: one merge pass finds the common
+  // files.
   int best = -1;
-  for (const auto& [file, mode] : lock_modes_) {
-    auto it = other.lock_modes_.find(file);
-    if (it == other.lock_modes_.end() || !Conflicts(mode, it->second)) continue;
-    const int step = FirstStepFor(file);
-    if (best == -1 || step < best) best = step;
+  auto theirs = other.declared_.begin();
+  for (const DeclaredFile& mine : declared_) {
+    while (theirs != other.declared_.end() && theirs->file < mine.file) {
+      ++theirs;
+    }
+    if (theirs == other.declared_.end()) break;
+    if (theirs->file != mine.file || !Conflicts(mine.mode, theirs->mode)) {
+      continue;
+    }
+    if (best == -1 || mine.first_step < best) best = mine.first_step;
   }
   return best;
 }

@@ -1,8 +1,9 @@
 #ifndef WTPG_SCHED_MODEL_TRANSACTION_H_
 #define WTPG_SCHED_MODEL_TRANSACTION_H_
 
-#include <map>
+#include <ranges>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/lock_mode.h"
@@ -55,8 +56,16 @@ class Transaction {
 
   // --- Access declaration (static; known at startup) ---
 
-  // Strongest lock mode this transaction will request per file.
-  const std::map<FileId, LockMode>& lock_modes() const { return lock_modes_; }
+  // Strongest lock mode this transaction will request per file, as
+  // (file, mode) pairs in ascending file order.
+  auto lock_modes() const {
+    return declared_ | std::views::transform([](const DeclaredFile& d) {
+             return std::pair<FileId, LockMode>(d.file, d.mode);
+           });
+  }
+
+  // Declared lock mode on `file`, which the transaction must declare.
+  LockMode LockModeOf(FileId file) const;
 
   // First step index that touches `file`; -1 if never touched.
   int FirstStepFor(FileId file) const;
@@ -121,10 +130,21 @@ class Transaction {
   std::string DebugString() const;
 
  private:
+  // One declared file: the strongest mode requested on it and the first
+  // step that touches it.
+  struct DeclaredFile {
+    FileId file = kInvalidFile;
+    LockMode mode = LockMode::kShared;
+    int first_step = 0;
+  };
+
+  // The entry for `file`, or nullptr when it is not declared (binary
+  // search: declared_ is sorted by file).
+  const DeclaredFile* Find(FileId file) const;
+
   TxnId id_;
   std::vector<StepSpec> steps_;
-  std::map<FileId, LockMode> lock_modes_;
-  std::map<FileId, int> first_step_;
+  std::vector<DeclaredFile> declared_;  // Ascending by file.
   State state_ = State::kCreated;
   int current_step_ = 0;
 };

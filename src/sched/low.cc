@@ -102,7 +102,7 @@ Decision LowScheduler::DecideLock(Transaction& txn, int step) {
   // Phase3: E(q) <= E(p) for all p in C(q).
   for (TxnId u : competitors) {
     const Transaction* other = active_.at(u);
-    const LockMode other_mode = other->lock_modes().at(file);
+    const LockMode other_mode = other->LockModeOf(file);
     pending_.PendingConflicters(file, u, other_mode, &cp_scratch_);
     ++wtpg_evals_;
     const double ep = EvaluateGrant(graph_, u, cp_scratch_);

@@ -48,17 +48,17 @@ void ApplyProgressFlags(const FlagParser& flags);
 // tool should continue.
 int HandleStandardFlags(FlagParser& flags, int argc, const char* const* argv);
 
-// Stores the integer flag `name` in *out when T holds its value. Otherwise
-// prints "--name: expected an integer in [lo, hi]" (the config reader's
-// wording) and returns false; the tool then exits 2. The range is checked
-// before the cast, which would otherwise wrap silently.
+// Stores the integer flag `name` in *out when it lies in [min, the largest
+// T]. Otherwise prints "--name: expected an integer in [min, max]" (the
+// config reader's wording) and returns false; the tool then exits 2. The
+// range is checked before the cast, which would otherwise wrap silently.
 template <typename T>
-bool GetIntFlag(const FlagParser& flags, const std::string& name, T* out) {
+bool GetIntFlag(const FlagParser& flags, const std::string& name, T* out,
+                T min = std::numeric_limits<T>::min()) {
   const int64_t value = flags.GetInt(name);
-  if (!std::in_range<T>(value)) {
+  if (!std::in_range<T>(value) || static_cast<T>(value) < min) {
     std::fprintf(stderr, "--%s: %s\n", name.c_str(),
-                 StrCat("expected an integer in [",
-                        std::numeric_limits<T>::min(), ", ",
+                 StrCat("expected an integer in [", min, ", ",
                         std::numeric_limits<T>::max(), "]")
                      .c_str());
     return false;

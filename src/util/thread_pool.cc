@@ -1,76 +1,32 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <utility>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 namespace wtpgsched {
 
-ThreadPool::ThreadPool(int num_threads) {
-  const int n = std::max(1, num_threads);
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  work_available_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-int ThreadPool::HardwareThreads() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<int>(n);
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_available_.wait(lock,
-                           [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown_ and drained.
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
-  }
-}
-
 void ParallelFor(int jobs, size_t n,
                  const std::function<void(size_t)>& body) {
-  if (jobs <= 1 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  ThreadPool pool(std::min<size_t>(static_cast<size_t>(jobs), n));
-  for (size_t i = 0; i < n; ++i) {
-    pool.Submit([&body, i] { body(i); });
-  }
-  pool.Wait();
+  std::atomic<size_t> next{0};
+  const auto drain = [&] {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      body(i);
+    }
+  };
+  const size_t workers = std::min(static_cast<size_t>(std::max(jobs, 1)), n);
+  // jthreads join when `helpers` goes out of scope, also when the caller's
+  // share throws.
+  std::vector<std::jthread> helpers;
+  for (size_t t = 1; t < workers; ++t) helpers.emplace_back(drain);
+  drain();
+}
+
+int HardwareThreads() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : static_cast<int>(n);
 }
 
 }  // namespace wtpgsched

@@ -1,64 +1,25 @@
 #ifndef WTPG_SCHED_UTIL_THREAD_POOL_H_
 #define WTPG_SCHED_UTIL_THREAD_POOL_H_
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace wtpgsched {
 
-// Fixed-size worker pool (queue + condition variable, no external deps) for
-// fanning independent simulation replicas across cores. Tasks must not
-// submit further tasks into the same pool; the experiment harness only ever
-// submits a flat batch and waits for it.
+// Runs `body(i)` for i in [0, n) and returns when all iterations finished.
+// Iterations must be independent. One atomic cursor hands out the indices,
+// in ascending order, to min(jobs, n) - 1 helper threads plus the calling
+// thread (jobs <= 1 or n <= 1 runs every iteration in order on the caller).
 //
-// Determinism contract: the pool imposes no ordering — callers that need
-// reproducible aggregates write each task's result into a slot keyed by
-// submission index and reduce serially afterwards (see RunReplicas in
+// Determinism contract: no ordering across workers — callers that need
+// reproducible aggregates write each iteration's result into a slot keyed
+// by its index and reduce serially afterwards (see RunReplicas in
 // driver/sim_run.h).
-class ThreadPool {
- public:
-  // Spawns `num_threads` workers (clamped to >= 1).
-  explicit ThreadPool(int num_threads);
-
-  // Waits for all submitted tasks, then joins the workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Enqueues a task. Never blocks on task execution.
-  void Submit(std::function<void()> task);
-
-  // Blocks until every task submitted so far has finished.
-  void Wait();
-
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  // Number of hardware threads, at least 1 (hardware_concurrency may
-  // report 0 when unknown).
-  static int HardwareThreads();
-
- private:
-  void WorkerLoop();
-
-  std::mutex mu_;
-  std::condition_variable work_available_;  // Signals workers.
-  std::condition_variable all_done_;        // Signals Wait().
-  std::deque<std::function<void()>> queue_;
-  size_t in_flight_ = 0;  // Queued + currently executing tasks.
-  bool shutdown_ = false;
-  std::vector<std::thread> workers_;
-};
-
-// Runs `body(i)` for i in [0, n) on `jobs` workers (serially in the calling
-// thread when jobs <= 1 or n <= 1) and returns when all iterations finished.
-// Iterations must be independent.
 void ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& body);
+
+// Number of hardware threads, at least 1 (hardware_concurrency may report 0
+// when unknown).
+int HardwareThreads();
 
 }  // namespace wtpgsched
 

@@ -1,5 +1,7 @@
 #include "model/transaction.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace wtpgsched {
@@ -38,8 +40,13 @@ TEST(TransactionTest, BasicAccessors) {
 TEST(TransactionTest, LockModesAreStrongestPerFile) {
   Transaction t = MakeT1();
   ASSERT_EQ(t.lock_modes().size(), 2u);
-  EXPECT_EQ(t.lock_modes().at(0), kX);  // Read + later write -> X.
-  EXPECT_EQ(t.lock_modes().at(1), kX);  // X requested at the read.
+  EXPECT_EQ(t.LockModeOf(0), kX);  // Read + later write -> X.
+  EXPECT_EQ(t.LockModeOf(1), kX);  // X requested at the read.
+  // Iteration runs in ascending file order, whatever the step order.
+  const Transaction t2 = MakeT2();
+  std::vector<FileId> files;
+  for (const auto& [file, mode] : t2.lock_modes()) files.push_back(file);
+  EXPECT_EQ(files, (std::vector<FileId>{0, 2}));
 }
 
 TEST(TransactionTest, FirstStepFor) {

@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
   int num_seeds = 1;
   int jobs = 0;
   if (!LoadConfig(flags, &config) || !GetIntFlag(flags, "mpl", &mpl) ||
-      !GetIntFlag(flags, "seeds", &num_seeds) ||
-      !GetIntFlag(flags, "jobs", &jobs)) {
+      !GetIntFlag(flags, "seeds", &num_seeds, 1) ||
+      !GetIntFlag(flags, "jobs", &jobs, 0)) {
     return 2;
   }
   // The field list leaves these flags out, as each means more than its

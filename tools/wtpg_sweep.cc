@@ -66,9 +66,9 @@ int main(int argc, char** argv) {
   int ow_files = 0;
   int batch_mpl = 0;
   if (!LoadConfig(flags, &config, {"batch-mpl"}) ||
-      !GetIntFlag(flags, "seeds", &seeds) ||
-      !GetIntFlag(flags, "jobs", &jobs) ||
-      !GetIntFlag(flags, "iters", &iters) ||
+      !GetIntFlag(flags, "seeds", &seeds, 1) ||
+      !GetIntFlag(flags, "jobs", &jobs, 0) ||
+      !GetIntFlag(flags, "iters", &iters, 0) ||
       !GetIntFlag(flags, "ow-files", &ow_files) ||
       !GetIntFlag(flags, "batch-mpl", &batch_mpl)) {
     return 2;
