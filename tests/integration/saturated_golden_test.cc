@@ -6,14 +6,21 @@
 // are part of it) plus FNV-1a digests of the exported trace JSONL and telemetry CSV,
 // with faults off and on.
 //
+// Besides the eight stock schedulers at default settings, two cases pin the
+// startup refusals no default reaches: C2PL+M's MPL refusals ("c2pl-mpl", a
+// finite machine.mpl) and the machine.batch_mpl priority gate ("low-gated",
+// LOW on a two-priority Experiment 1 mix).
+//
 // Regenerate (only when an *intentional* behavior change lands) with:
 //   WTPG_UPDATE_GOLDENS=1 ./kernel_invariance_test --gtest_filter='Sat*'
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -33,15 +40,23 @@ namespace {
 
 constexpr const char* kGoldenFile = "golden_saturated.tsv";
 
-const std::vector<std::string>& SchedulerFlags() {
-  static const std::vector<std::string> flags = {
-      "nodc", "asl", "c2pl", "opt", "gow", "low", "low-lb", "2pl"};
-  return flags;
+// Case names, in golden-file order: a scheduler flag, or one of the two
+// refusal cases.
+const std::vector<std::string>& CaseNames() {
+  static const std::vector<std::string> names = {
+      "nodc", "asl", "c2pl",     "opt",      "gow",
+      "low",  "low-lb", "2pl", "c2pl-mpl", "low-gated"};
+  return names;
 }
 
-SimConfig SaturatedConfig(const std::string& flag, bool faulty) {
+SimConfig SaturatedConfig(const std::string& name, bool faulty) {
   SimConfig c;
-  EXPECT_TRUE(ParseSchedulerKind(flag, &c.scheduler)) << flag;
+  const std::string flag = name == "c2pl-mpl"    ? "c2pl"
+                           : name == "low-gated" ? "low"
+                                                 : name;
+  EXPECT_TRUE(ParseSchedulerKind(flag, &c.scheduler)) << name;
+  if (name == "c2pl-mpl") c.machine.mpl = 8;
+  if (name == "low-gated") c.machine.batch_mpl = 2;
   c.workload.arrival_rate_tps = 1.2;
   c.run.horizon_ms = 600'000;
   c.run.telemetry_sample_ms = 5'000;
@@ -77,12 +92,43 @@ std::string Digest(const std::string& data) {
   return StrCat(hex, ":", data.size());
 }
 
+// Experiment 1 for every case but "low-gated", which splits the same
+// pattern into a priority-1 and a gated priority-0 half.
+std::unique_ptr<Machine> MakeMachine(const std::string& name,
+                                     const SimConfig& c) {
+  const Pattern pattern = Pattern::Experiment1(c.machine.num_files);
+  if (name != "low-gated") return std::make_unique<Machine>(c, pattern);
+  return std::make_unique<Machine>(
+      c, std::vector<WeightedPattern>{{pattern, 1.0, 1}, {pattern, 1.0, 0}});
+}
+
+// Largest value the run's telemetry sampled for gauge `name`.
+double MaxSampled(const Machine& machine, const std::string& name) {
+  const TelemetryStore& store = machine.telemetry()->store();
+  const int col = store.ColumnIndex(name);
+  EXPECT_GE(col, 0) << name;
+  double max = 0.0;
+  for (size_t row = 0; col >= 0 && row < store.size(); ++row) {
+    max = std::max(max, store.value(row, static_cast<size_t>(col)));
+  }
+  return max;
+}
+
 // Golden row body: trace digest, telemetry CSV digest, RunStats JSON.
-std::string RunCase(const std::string& flag, bool faulty) {
-  const SimConfig c = SaturatedConfig(flag, faulty);
-  Machine machine(c, Pattern::Experiment1(c.machine.num_files));
+std::string RunCase(const std::string& name, bool faulty) {
+  const SimConfig c = SaturatedConfig(name, faulty);
+  const std::unique_ptr<Machine> owned = MakeMachine(name, c);
+  Machine& machine = *owned;
   const RunStats stats = machine.Run();
   EXPECT_EQ(machine.trace().dropped(), 0u) << "trace ring too small";
+  if (name == "c2pl-mpl" || name == "low-gated") {
+    // The refusal paths these cases exist for must actually run.
+    EXPECT_GT(MaxSampled(machine, "machine.parked"), 0.0) << name;
+  }
+  if (name == "low-gated") {
+    EXPECT_GT(machine.scheduler().admission_gated(), 0u);
+    EXPECT_GT(MaxSampled(machine, "admission.gated"), 0.0);
+  }
   TraceMeta meta;
   meta.scheduler = machine.scheduler().name();
   meta.num_nodes = c.machine.num_nodes;
@@ -138,7 +184,7 @@ TEST_P(SaturatedGoldenTest, ByteIdenticalToGolden) {
     goldens[key] = actual;
     std::ofstream out(GoldenPath());
     ASSERT_TRUE(out.is_open()) << GoldenPath();
-    for (const std::string& f : SchedulerFlags()) {
+    for (const std::string& f : CaseNames()) {
       for (const bool fault : {false, true}) {
         auto it = goldens.find(CaseKey(f, fault));
         if (it != goldens.end()) out << it->first << "\t" << it->second << "\n";
@@ -155,7 +201,7 @@ TEST_P(SaturatedGoldenTest, ByteIdenticalToGolden) {
 
 INSTANTIATE_TEST_SUITE_P(
     Saturated, SaturatedGoldenTest,
-    testing::Combine(testing::ValuesIn(SchedulerFlags()), testing::Bool()),
+    testing::Combine(testing::ValuesIn(CaseNames()), testing::Bool()),
     [](const testing::TestParamInfo<std::tuple<std::string, bool>>& info) {
       std::string name = std::get<0>(info.param);
       for (char& ch : name) {
