@@ -18,6 +18,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,10 +43,10 @@ constexpr SchedulerKind kSchedulers[] = {
     SchedulerKind::kLow, SchedulerKind::kGow, SchedulerKind::kC2pl};
 
 // One full sweep (all schedulers x rates x seeds) at the given worker
-// count; returns concatenated AggregateResult JSON for identity checks.
-std::string RunSweep(const std::vector<double>& rates, int seeds,
-                     double horizon_ms, int jobs) {
-  std::string combined;
+// count; returns every point's AggregateResult for exact identity checks.
+std::vector<AggregateResult> RunSweep(const std::vector<double>& rates,
+                                      int seeds, double horizon_ms, int jobs) {
+  std::vector<AggregateResult> results;
   for (SchedulerKind kind : kSchedulers) {
     SimConfig config;
     config.scheduler = kind;
@@ -53,11 +54,10 @@ std::string RunSweep(const std::vector<double>& rates, int seeds,
     for (const SweepPoint& p :
          SweepArrivalRates(config, Pattern::Experiment1(config.machine.num_files),
                            rates, seeds, jobs)) {
-      combined += p.result.ToJson();
-      combined += '\n';
+      results.push_back(p.result);
     }
   }
-  return combined;
+  return results;
 }
 
 // paper_rt70's searches at quick-mode effort, with tolerance 0 so that every
@@ -101,11 +101,12 @@ double Seconds(std::chrono::steady_clock::time_point start,
 // Times `run` at each worker count (best of kReps), prints the table, and
 // returns the curve as a JSON array; *identical turns false when any run's
 // output differs from the first one's.
+template <typename Output>
 std::string TimeCurve(const std::vector<int>& curve_jobs,
-                      const std::function<std::string(int jobs)>& run,
+                      const std::function<Output(int jobs)>& run,
                       bool* identical) {
   TablePrinter table({"jobs", "wall(s)", "speedup", "identical"});
-  std::string baseline;
+  std::optional<Output> baseline;
   double wall_jobs1_s = 0.0;
   std::string curve_json;
   for (int jobs : curve_jobs) {
@@ -113,11 +114,11 @@ std::string TimeCurve(const std::vector<int>& curve_jobs,
     bool same = true;
     for (int rep = 0; rep < kReps; ++rep) {
       const auto start = std::chrono::steady_clock::now();
-      const std::string output = run(jobs);
+      const Output output = run(jobs);
       const double rep_s = Seconds(start, std::chrono::steady_clock::now());
       if (rep == 0 || rep_s < wall_s) wall_s = rep_s;
-      if (baseline.empty()) baseline = output;
-      same = same && output == baseline;
+      if (!baseline) baseline = output;
+      same = same && output == *baseline;
     }
     if (jobs == 1) wall_jobs1_s = wall_s;
     *identical = *identical && same;
@@ -179,7 +180,7 @@ int main(int argc, char** argv) {
               std::size(kSchedulers), rates.size(), seeds, replicas,
               horizon_ms, hardware_threads);
   bool sweep_identical = true;
-  const std::string sweep_curve = TimeCurve(
+  const std::string sweep_curve = TimeCurve<std::vector<AggregateResult>>(
       sweep_jobs,
       [&](int jobs) { return RunSweep(rates, seeds, horizon_ms, jobs); },
       &sweep_identical);
@@ -193,7 +194,7 @@ int main(int argc, char** argv) {
               search.seeds);
   bool search_identical = true;
   const std::string search_curve =
-      TimeCurve(search_jobs, RunSearches, &search_identical);
+      TimeCurve<std::string>(search_jobs, RunSearches, &search_identical);
 
   JsonWriter search_json;
   search_json.Add("searches", searches)

@@ -83,6 +83,8 @@ struct AggregateResult {
     double p50_response_s = 0.0;
     double p95_response_s = 0.0;
     double p99_response_s = 0.0;
+
+    bool operator==(const ClassAgg&) const = default;
   };
   std::vector<ClassAgg> per_class;
 
@@ -91,9 +93,12 @@ struct AggregateResult {
   // reproducible for any worker count.
   std::vector<std::pair<std::string, uint64_t>> counters;
 
-  // One-line JSON object with every field (used by tooling and by the
-  // jobs=1 vs jobs=N byte-identity tests).
+  // One-line JSON object with every field (tooling output).
   std::string ToJson() const;
+
+  // Field by field and exact (the jobs=1 vs jobs=N identity checks); ToJson
+  // prints doubles to six significant digits.
+  bool operator==(const AggregateResult&) const = default;
 };
 
 AggregateResult RunAggregate(SimConfig config, const Pattern& pattern,

@@ -23,10 +23,10 @@ class ControlNode {
     cpu_.Submit(cost, std::move(done));
   }
 
-  // `steps` zero-cost decisions served back to back as one job; `step`
-  // runs once per step (FcfsServer::SubmitSteps).
-  void SubmitSteps(size_t steps, FcfsServer::Callback step) {
-    cpu_.SubmitSteps(steps, std::move(step));
+  // `steps` zero-cost decisions served back to back as one job;
+  // `on_steps(n)` decides the next n (FcfsServer::SubmitSteps).
+  void SubmitSteps(size_t steps, FcfsServer::StepsCallback on_steps) {
+    cpu_.SubmitSteps(steps, std::move(on_steps));
   }
 
   // Named bursts for the Table-1 cost categories.

@@ -171,7 +171,7 @@ void Machine::RegisterMachineGauges() {
 }
 
 uint64_t Machine::ParkedCount() const {
-  uint64_t parked = admission_wait_.size() + delayed_.size();
+  uint64_t parked = admission_pool_.size() - swept_ + delayed_.size();
   for (const auto& [file, waiters] : file_waiters_) {
     (void)file;
     parked += waiters.size();
@@ -192,7 +192,10 @@ std::pair<double, double> Machine::WaitAges() const {
     total_age += age;
     ++count;
   };
-  for (TxnId id : admission_wait_) visit(id);
+  for (TxnId id = FirstUnswept(); id != kInvalidTxn;
+       id = admission_pool_.next(id)) {
+    visit(id);
+  }
   for (TxnId id : delayed_) visit(id);
   for (const auto& [file, waiters] : file_waiters_) {
     (void)file;
@@ -287,12 +290,23 @@ void Machine::OnArrival() {
 
 void Machine::RequestStartup(TxnId id) {
   if (std::exchange(SlotOf(id).pending_decision, true)) return;
-  const SimTime cost = scheduler_->StartupDecisionCost(GetTxn(id));
-  cn_.SubmitStartup(cost, [this, id] { OnStartupDecision(id); });
+  cn_.SubmitStartup(scheduler_->StartupDecisionCost(),
+                    [this, id] { OnStartupDecision(id); });
 }
 
 void Machine::OnStartupDecision(TxnId id) {
   SlotOf(id).pending_decision = false;
+  const DecisionKind kind = DecideStartup(id);
+  if (kind == DecisionKind::kGrant) return;
+  ParkAdmission(id);
+  if (kind != DecisionKind::kReject) NoteRefused(id);
+}
+
+void Machine::NoteRefused(TxnId id) {
+  admission_pool_.ClassOf(id).refused_epoch = scheduler_->admission_epoch();
+}
+
+DecisionKind Machine::DecideStartup(TxnId id) {
   Transaction& txn = GetTxn(id);
   scheduler_->OnClock(sim_.Now());
   trace_.set_now(sim_.Now());
@@ -313,7 +327,6 @@ void Machine::OnStartupDecision(TxnId id) {
                      .type = TraceEventType::kAdmissionDelayed,
                      .txn = id,
                      .incarnation = txn.restarts});
-      ParkAdmission(id);
       break;
     case DecisionKind::kReject:
       txn.start_rejections += 1;
@@ -322,12 +335,12 @@ void Machine::OnStartupDecision(TxnId id) {
                      .type = TraceEventType::kAdmissionRejected,
                      .txn = id,
                      .incarnation = txn.restarts});
-      ParkAdmission(id);
       break;
     case DecisionKind::kAbortRestart:
       WTPG_CHECK(false) << "startup cannot abort-restart";
       break;
   }
+  return decision.kind;
 }
 
 void Machine::RequestLock(TxnId id) {
@@ -832,7 +845,6 @@ void Machine::Unpark(TxnId id) {
     }
     return false;
   };
-  if (drop(&admission_wait_)) return;
   if (drop(&delayed_)) return;
   for (auto it = file_waiters_.begin(); it != file_waiters_.end(); ++it) {
     if (drop(&it->second)) {
@@ -845,8 +857,9 @@ void Machine::Unpark(TxnId id) {
 // --- Parked-request retry ---
 
 void Machine::ParkAdmission(TxnId id) {
-  GetTxn(id).set_state(Transaction::State::kWaitingStart);
-  admission_wait_.push_back(id);
+  Transaction& txn = GetTxn(id);
+  txn.set_state(Transaction::State::kWaitingStart);
+  admission_pool_.PushBack(txn);
   EnsureFallbackTimer();
 }
 
@@ -883,47 +896,143 @@ void Machine::RetryDelayed() {
   }
 }
 
+TxnId Machine::FirstUnswept() const {
+  return sweeps_.empty() ? admission_pool_.front()
+                         : admission_pool_.next(sweeps_.back().last);
+}
+
 void Machine::RetryAdmissions() {
-  if (admission_wait_.empty()) return;
-  // Each parked startup is retested at most once per wake. Retests that
-  // cost CN time (GOW's) are further capped at admission_retry_limit.
-  const size_t budget = admission_wait_.size();
-  size_t costed_budget = config_.run.admission_retry_limit > 0
-                             ? static_cast<size_t>(
-                                   config_.run.admission_retry_limit)
-                             : budget;
-  // Zero-cost retries go to the CN as sweeps: one multi-step job per run of
-  // consecutive ones, each step deciding the next id of the sweep's block
-  // in sweep_ids_. A retry that costs CN time keeps its own job between
-  // them, so the decisions keep their one-job-per-retry order and instants.
-  size_t block = 0;
-  const auto submit_sweep = [&] {
-    if (block == 0) return;
-    cn_.SubmitSteps(block, [this] {
-      const TxnId id = sweep_ids_.front();
-      sweep_ids_.pop_front();
-      OnStartupDecision(id);
-    });
-    block = 0;
-  };
-  for (size_t i = 0; i < budget && !admission_wait_.empty(); ++i) {
-    const TxnId id = admission_wait_.front();
-    const SimTime cost = scheduler_->StartupDecisionCost(GetTxn(id));
-    if (cost > 0 && costed_budget-- == 0) break;
-    admission_wait_.pop_front();
+  const size_t parked = admission_pool_.size() - swept_;
+  if (parked == 0) return;
+  // Each parked startup is retested at most once per wake.
+  const SimTime cost = scheduler_->StartupDecisionCost();
+  if (cost == 0) {
+    // One sweep over every parked member, at the CN's next free instant.
+    decision_retries_ += parked;
+    sweeps_.push_back(Sweep{parked, admission_pool_.back()});
+    swept_ += parked;
+    cn_.SubmitSteps(parked, [this](size_t steps) { OnSweepSteps(steps); });
+    return;
+  }
+  // Costed retests (GOW's) are jobs of their own, capped at
+  // admission_retry_limit per wake; failures re-park at the back, rotating
+  // the pool across wakes.
+  const int limit = config_.run.admission_retry_limit;
+  size_t budget =
+      limit > 0 ? std::min(parked, static_cast<size_t>(limit)) : parked;
+  for (; budget > 0; --budget) {
+    const TxnId id = admission_pool_.front();
+    admission_pool_.Erase(id);
     ++decision_retries_;
-    // Failures re-park at the back, rotating the pool across wake events.
-    if (std::exchange(SlotOf(id).pending_decision, true)) continue;
-    if (cost == 0) {
-      sweep_ids_.push_back(id);
-      ++block;
-      continue;
-    }
-    submit_sweep();
+    SlotOf(id).pending_decision = true;
     cn_.SubmitWork(cost, [this, id] { OnStartupDecision(id); });
   }
-  submit_sweep();
-  if (!admission_wait_.empty()) EnsureFallbackTimer();
+  if (!admission_pool_.empty()) EnsureFallbackTimer();
+}
+
+void Machine::OnSweepSteps(size_t steps) {
+  Sweep& sweep = sweeps_.front();
+  if (steps == 1) {
+    RetestFront();
+  } else {
+    // The server hands over every step but the last in one callback.
+    WTPG_CHECK_EQ(steps + 1, sweep.remaining);
+    RetestBatch(sweep.last, steps);
+  }
+  sweep.remaining -= steps;
+  swept_ -= steps;
+  if (sweep.remaining == 0) sweeps_.pop_front();
+}
+
+void Machine::RetestFront() {
+  const TxnId id = admission_pool_.front();
+  const DecisionKind kind = DecideStartup(id);
+  if (kind == DecisionKind::kGrant) {
+    admission_pool_.Erase(id);
+    return;
+  }
+  if (kind != DecisionKind::kReject) NoteRefused(id);
+  admission_pool_.MoveFrontToBack();
+  EnsureFallbackTimer();
+}
+
+// The batch's members are the pool's front ones, ahead of `last`, and they
+// are decided in pool order. Nothing eases admission during the batch (only
+// CN jobs and fault events do, and neither runs inside it), so once a class
+// is refused by kBlock or kDelay every later member of it in the batch is
+// refused too, and counted as its own decision would count it: by the
+// gate, if the gate refuses it at its turn, or else by DecideStartup's
+// test. A class refused since the scheduler's admission epoch last changed
+// is refused from the start. Once every class with members left in the
+// batch is refused, the rest of the batch is counted class by class, unless
+// tracing wants a record per member.
+void Machine::RetestBatch(TxnId last, size_t steps) {
+  using Class = AdmissionPool::Class;
+  const uint64_t batch = ++batches_;
+  const uint64_t epoch = scheduler_->admission_epoch();
+  const auto stamp = [batch](Class& c) {
+    if (c.batch == batch) return;
+    c.batch = batch;
+    c.behind = 0;
+  };
+  for (TxnId id = last; id != kInvalidTxn; id = admission_pool_.next(id)) {
+    Class& c = admission_pool_.ClassOf(id);
+    stamp(c);
+    ++c.behind;
+  }
+  // Classes that may still admit a member of the batch.
+  size_t open = 0;
+  admission_pool_.ForEachClass([&](Class& c) {
+    stamp(c);
+    c.ahead = c.members - c.behind;
+    c.refused = c.refused_epoch == epoch;
+    if (!c.refused && c.ahead > 0) ++open;
+  });
+  const bool tracing = trace_.enabled();
+  uint64_t gated = 0;
+  uint64_t refused = 0;
+  size_t passed = 0;
+  TxnId id = admission_pool_.front();
+  while (id != last && (open > 0 || tracing)) {
+    const TxnId next = admission_pool_.next(id);
+    Class& c = admission_pool_.ClassOf(id);
+    --c.ahead;
+    ++passed;
+    if (c.refused) {
+      ++(scheduler_->Gates(c.priority) ? gated : refused);
+      if (tracing) {
+        trace_.Record({.time = sim_.Now(),
+                       .type = TraceEventType::kAdmissionDelayed,
+                       .txn = id,
+                       .incarnation = GetTxn(id).restarts});
+      }
+    } else {
+      const DecisionKind kind = DecideStartup(id);
+      if (kind == DecisionKind::kGrant) {
+        admission_pool_.Erase(id);
+      } else if (kind != DecisionKind::kReject) {
+        c.refused = true;
+        c.refused_epoch = epoch;
+      }
+      if (c.refused || c.ahead == 0) --open;
+    }
+    id = next;
+  }
+  if (id != last) {
+    // Every class left in the batch is refused, and no admission follows.
+    admission_pool_.ForEachClass([&](Class& c) {
+      (scheduler_->Gates(c.priority) ? gated : refused) += c.ahead;
+      passed += c.ahead;
+    });
+  }
+  WTPG_CHECK_EQ(passed, steps);
+  WTPG_CHECK_EQ(scheduler_->admission_epoch(), epoch)
+      << "an admission eased startup refusals";
+  scheduler_->RepeatStartupRefusals(gated, refused);
+  if (admission_pool_.front() == last) return;
+  // The refused members re-park at the back, in their order.
+  admission_pool_.RotateTo(last);
+  EnsureFallbackTimer();
 }
 
 // --- Telemetry sampling ---
@@ -947,7 +1056,8 @@ void Machine::EnsureFallbackTimer() {
   fallback_timer_active_ = true;
   sim_.ScheduleAfter(MsToTime(config_.run.retry_fallback_ms), [this] {
     fallback_timer_active_ = false;
-    const bool had_parked = !delayed_.empty() || !admission_wait_.empty();
+    const bool had_parked =
+        !delayed_.empty() || admission_pool_.size() > swept_;
     if (had_parked) {
       RetryDelayed();
       RetryAdmissions();

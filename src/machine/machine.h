@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/schedule_log.h"
+#include "machine/admission_pool.h"
 #include "machine/config.h"
 #include "machine/control_node.h"
 #include "machine/data_placement.h"
@@ -38,11 +39,19 @@ namespace wtpgsched {
 // Parked requests: blocked requests queue FIFO per granule and retry when
 // the granule is released; delayed requests and refused admissions retry on
 // every commit (and on grants, and after the fallback delay) — see
-// DESIGN.md, "Substitutions". Each retry is a CN job. Consecutive admission
-// retries whose StartupDecisionCost is zero share one multi-step CN job (a
-// sweep, FcfsServer::SubmitSteps): every step decides the next parked id at
-// the instant its own job would have, so a storm of refused retests costs
-// no event-queue traffic.
+// DESIGN.md, "Substitutions". Each retry is a CN job.
+//
+// Refused startups wait in an AdmissionPool, filed by admission class (the
+// declared lock set plus the priority). When their retest costs no CN time
+// (every scheduler but GOW), a wake sends the whole pool to the CN as one
+// sweep: a multi-step job of one step per member, each deciding its member
+// at the instant a job of its own would (FcfsServer::SubmitSteps). Steps
+// that run back to back in one callback form a batch, and a batch decides
+// each class once, at its earliest member, and again after each grant to
+// it: an admission never turns a refusal into a grant, so the rest of a
+// refused class is refused by arithmetic (RetestBatch). Counters, pool
+// order, trace records and every simulated output equal a member-by-member
+// sweep's.
 class Machine {
  public:
   Machine(const SimConfig& config, Pattern pattern);
@@ -119,7 +128,15 @@ class Machine {
   // Submits the first startup decision of an incarnation, charged sot_time
   // on top of the scheduler's cost. Retests go through RetryAdmissions.
   void RequestStartup(TxnId id);
+  // A startup decision in a job of its own (a first decision, or GOW's
+  // costed retest); a refused transaction parks at the back of the pool.
   void OnStartupDecision(TxnId id);
+  // Decides `id`'s startup now: admits it on a grant, and on a refusal
+  // counts and traces it, leaving the parking to the caller.
+  DecisionKind DecideStartup(TxnId id);
+  // Parked `id` was just refused by kBlock or kDelay: so is its class, until
+  // the scheduler's admission epoch changes.
+  void NoteRefused(TxnId id);
   void RequestLock(TxnId id);
   void OnLockDecision(TxnId id);
 
@@ -151,7 +168,8 @@ class Machine {
   // surviving cohorts, releases its locks through Scheduler::OnAbort, and
   // restarts it after an exponential backoff with deterministic jitter.
   void FaultAbort(TxnId id, AbortReason reason);
-  // Removes `id` from whichever parked list holds it (if any).
+  // Removes `id` from the parked lock requests (a parked startup is never
+  // active, so no fault aborts it).
   void Unpark(TxnId id);
   // Fault counters register lazily so a zero-fault run's counter set — and
   // therefore its JSON output — is byte-identical to a faultless build.
@@ -164,6 +182,14 @@ class Machine {
   void WakeFileWaiters(FileId file);
   void RetryDelayed();
   void RetryAdmissions();
+  // Runs the next `steps` steps of the front sweep (FcfsServer::SubmitSteps).
+  void OnSweepSteps(size_t steps);
+  // One step: decides the pool's front member, which moves to the back when
+  // refused.
+  void RetestFront();
+  // `steps` steps, back to back in one callback: decides the members ahead
+  // of `last`, each class once, then moves the refused ones behind the back.
+  void RetestBatch(TxnId last, size_t steps);
   void EnsureFallbackTimer();
 
   // --- Telemetry sampling ---
@@ -173,6 +199,8 @@ class Machine {
   void ScheduleTelemetrySample();
   void TakeTelemetrySample();
   uint64_t ParkedCount() const;
+  // The first parked startup no queued sweep holds, or kInvalidTxn.
+  TxnId FirstUnswept() const;
   // (max, mean) age in seconds over all parked transactions.
   std::pair<double, double> WaitAges() const;
 
@@ -191,11 +219,18 @@ class Machine {
   std::vector<TxnSlot> txns_;
   size_t in_flight_ = 0;
   // Parked transactions. A parked txn is in exactly one list; a txn with a
-  // decision job in flight is in none.
-  std::deque<TxnId> admission_wait_;
-  // Ids decided by queued sweep steps, in step order (each sweep appends
-  // its block; the CN is FIFO, so steps pop them from the front).
-  std::deque<TxnId> sweep_ids_;
+  // decision job of its own in flight is in none. The admission pool also
+  // holds the members of queued sweeps: they lead the pool, in sweep order.
+  AdmissionPool admission_pool_;
+  // A queued sweep: its steps not yet run, and its last member. Its
+  // remaining members are the pool's front ones, up to `last`.
+  struct Sweep {
+    size_t remaining;
+    TxnId last;
+  };
+  std::deque<Sweep> sweeps_;
+  size_t swept_ = 0;      // Members of queued sweeps.
+  uint64_t batches_ = 0;  // RetestBatch calls; stamp its class scratch.
   std::unordered_map<FileId, std::deque<TxnId>> file_waiters_;
   std::deque<TxnId> delayed_;
 

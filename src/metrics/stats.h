@@ -78,8 +78,14 @@ struct RunStats {
     double median_response_s = 0.0;
     double p95_response_s = 0.0;
     double p99_response_s = 0.0;
+
+    bool operator==(const ClassStats&) const = default;
   };
   std::vector<ClassStats> per_class;
+
+  // Field by field and exact, unlike a comparison of ToJson texts, which
+  // print doubles to six significant digits.
+  bool operator==(const RunStats&) const = default;
 };
 
 // Collects per-transaction outcomes during a run. The measurement window is

@@ -7,11 +7,6 @@ namespace wtpgsched {
 GowScheduler::GowScheduler(SimTime toptime, SimTime chaintime)
     : toptime_(toptime), chaintime_(chaintime) {}
 
-SimTime GowScheduler::StartupDecisionCost(const Transaction& txn) const {
-  (void)txn;
-  return toptime_;
-}
-
 SimTime GowScheduler::LockDecisionCost(const Transaction& txn,
                                        int step) const {
   (void)txn;

@@ -28,7 +28,7 @@ class GowScheduler : public WtpgSchedulerBase {
 
   std::string name() const override { return "GOW"; }
 
-  SimTime StartupDecisionCost(const Transaction& txn) const override;
+  SimTime StartupDecisionCost() const override { return toptime_; }
   SimTime LockDecisionCost(const Transaction& txn, int step) const override;
 
   uint64_t chain_rejections() const { return chain_rejections_; }

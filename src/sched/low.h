@@ -46,6 +46,9 @@ class LowScheduler : public WtpgSchedulerBase {
 
  protected:
   Decision DecideStartup(Transaction& txn) override;
+  void CountRepeatedRefusals(uint64_t refused) override {
+    admission_k_rejections_ += refused;
+  }
   void AfterAdmit(Transaction& txn) override;
 
   Decision DecideLock(Transaction& txn, int step) override;

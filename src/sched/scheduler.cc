@@ -5,10 +5,7 @@
 
 namespace wtpgsched {
 
-SimTime Scheduler::StartupDecisionCost(const Transaction& txn) const {
-  (void)txn;
-  return 0;
-}
+SimTime Scheduler::StartupDecisionCost() const { return 0; }
 
 SimTime Scheduler::LockDecisionCost(const Transaction& txn, int step) const {
   (void)txn;
@@ -22,9 +19,7 @@ Decision Scheduler::OnStartup(Transaction& txn) {
   // Priority-aware admission gate, ahead of the scheduler-specific test:
   // every scheduler inherits it. kDelay parks the transaction; the machine
   // retries it when a commit (or grant / fallback timer) changes the state.
-  if (admission_.enabled() && txn.priority < admission_.priority_cutoff &&
-      active_low_priority_ >=
-          static_cast<size_t>(admission_.low_priority_mpl)) {
+  if (Gates(txn.priority)) {
     ++admission_gated_;
     return Decision{DecisionKind::kDelay, kInvalidFile};
   }
@@ -35,6 +30,11 @@ Decision Scheduler::OnStartup(Transaction& txn) {
     AfterAdmit(txn);
   }
   return d;
+}
+
+void Scheduler::RepeatStartupRefusals(uint64_t gated, uint64_t refused) {
+  admission_gated_ += gated;
+  if (refused > 0) CountRepeatedRefusals(refused);
 }
 
 Decision Scheduler::OnLockRequest(Transaction& txn, int step) {
@@ -105,6 +105,7 @@ std::vector<FileId> Scheduler::End(Transaction& txn, bool commit) {
   if (txn.priority < admission_.priority_cutoff && active_low_priority_ > 0) {
     --active_low_priority_;
   }
+  EaseAdmission();
   if (commit) {
     AfterCommit(txn);
   } else {
@@ -164,6 +165,8 @@ void WtpgSchedulerBase::OnStepCompleted(Transaction& txn, int step) {
 
 void WtpgSchedulerBase::OnLockRecorded(Transaction& txn, FileId file) {
   pending_.Remove(file, txn.id());
+  // LOW's K bound counts pending declarations.
+  EaseAdmission();
 }
 
 void WtpgSchedulerBase::RemoveFromGraph(Transaction& txn) {

@@ -90,6 +90,19 @@ struct SchedulerTraits {
 //  * OnStartup is called at arrival and on every admission retry. On kGrant
 //    the scheduler registers the transaction (and ASL atomically acquires
 //    all declared locks).
+//  * A startup verdict depends only on the transaction's admission class —
+//    its declared (file, mode) set and its priority — and on the scheduler's
+//    state, and a kBlock or kDelay refusal holds until admission_epoch()
+//    changes. Admissions never change it: they only add locks (ASL),
+//    pending declarations (LOW's K bound) or active transactions (the MPL
+//    limits). The base class changes it whenever a transaction leaves; a
+//    scheduler whose startup test can also ease otherwise calls
+//    EaseAdmission there (LOW and GOW: a lock grant takes a pending
+//    declaration out of the count). The machine relies on this to decide
+//    each class of parked startups once per sweep, and accounts the repeats
+//    through RepeatStartupRefusals; a scheduler that counts its own
+//    refusals overrides CountRepeatedRefusals. kReject verdicts (GOW's chain
+//    test) are always decided one by one.
 //  * OnLockRequest is called only for steps with NeedsLockAt(step) when the
 //    lock is not yet held. On kGrant the lock is recorded.
 //  * OnStepCompleted lets WTPG schedulers maintain the T0-edge weights.
@@ -103,11 +116,17 @@ class Scheduler {
 
   virtual std::string name() const = 0;
 
-  // CPU cost charged at the control node for processing the decision.
-  virtual SimTime StartupDecisionCost(const Transaction& txn) const;
+  // CPU cost charged at the control node for processing the decision. A
+  // startup decision costs the same for every transaction.
+  virtual SimTime StartupDecisionCost() const;
   virtual SimTime LockDecisionCost(const Transaction& txn, int step) const;
 
   Decision OnStartup(Transaction& txn);
+  // Counts `gated` + `refused` startup refusals decided without OnStartup,
+  // each repeating, within one sweep, a kBlock or kDelay verdict OnStartup
+  // gave a transaction of the same admission class: `gated` ones the
+  // admission gate refuses, `refused` ones DecideStartup's own test does.
+  void RepeatStartupRefusals(uint64_t gated, uint64_t refused);
   Decision OnLockRequest(Transaction& txn, int step);
 
   virtual void OnStepCompleted(Transaction& txn, int step);
@@ -150,6 +169,21 @@ class Scheduler {
   size_t active_low_priority() const { return active_low_priority_; }
   uint64_t admission_gated() const { return admission_gated_; }
 
+  // True while the admission gate refuses low-priority startups / refuses
+  // a startup of `priority`.
+  bool admission_gate_closed() const {
+    return admission_.enabled() &&
+           active_low_priority_ >=
+               static_cast<size_t>(admission_.low_priority_mpl);
+  }
+  bool Gates(int priority) const {
+    return priority < admission_.priority_cutoff && admission_gate_closed();
+  }
+
+  // Changes whenever a startup refused before might now be granted (see
+  // the contract above).
+  uint64_t admission_epoch() const { return admission_epoch_; }
+
   // One decision counter: its name (for example "low.deadlock_delays") and
   // the live count.
   struct NamedCounter {
@@ -183,6 +217,9 @@ class Scheduler {
   // --- Template-method hooks ---
 
   virtual Decision DecideStartup(Transaction& txn) = 0;
+  // Counts `refused` more refusals of DecideStartup's own test (see
+  // RepeatStartupRefusals), for a scheduler that counts them.
+  virtual void CountRepeatedRefusals(uint64_t refused) { (void)refused; }
   // Registration already happened when this runs (ASL acquires locks here).
   virtual void AfterAdmit(Transaction& /*txn*/) {}
 
@@ -204,6 +241,9 @@ class Scheduler {
   // See RegisterGauges.
   virtual void RegisterGraphGauges(GaugeRegistry* /*gauges*/) const {}
 
+  // Marks a change that can turn a startup refusal into a grant.
+  void EaseAdmission() { ++admission_epoch_; }
+
   // True when scheduler-internal tracing is on (guard event payload work).
   bool tracing() const { return trace_ != nullptr && trace_->enabled(); }
 
@@ -220,6 +260,7 @@ class Scheduler {
   AdmissionControl admission_;
   size_t active_low_priority_ = 0;
   uint64_t admission_gated_ = 0;
+  uint64_t admission_epoch_ = 0;
 };
 
 // Shared machinery for the schedulers that maintain a weighted

@@ -11,13 +11,13 @@ FcfsServer::FcfsServer(Simulator* sim, std::string name)
 
 void FcfsServer::Submit(SimTime service_time, Callback on_complete) {
   WTPG_CHECK_GE(service_time, 0);
-  Enqueue(Job{service_time, 1, std::move(on_complete)});
+  Enqueue(Job{service_time, 1, std::move(on_complete), nullptr});
 }
 
-void FcfsServer::SubmitSteps(size_t steps, Callback on_step) {
+void FcfsServer::SubmitSteps(size_t steps, StepsCallback on_steps) {
   WTPG_CHECK_GT(steps, 0u);
-  WTPG_CHECK(on_step);
-  Enqueue(Job{0, steps, std::move(on_step)});
+  WTPG_CHECK(on_steps);
+  Enqueue(Job{0, steps, nullptr, std::move(on_steps)});
 }
 
 void FcfsServer::Enqueue(Job job) {
@@ -42,31 +42,47 @@ void FcfsServer::StartStep() {
 }
 
 void FcfsServer::OnStepDone() {
-  while (true) {
-    WTPG_CHECK(busy_);
-    busy_ = false;
-    ++jobs_completed_;
-    if (--current_.steps == 0) {
-      Callback cb = std::move(current_.on_step);
-      // Start the next job before running the callback so that work
-      // submitted from inside the callback queues behind already-waiting
-      // jobs.
-      StartNext();
-      if (cb) cb();
-      return;
-    }
-    // The job's next step enters service before this step's callback runs,
-    // as the next single job would.
-    if (!sim_->CanContinueInline()) {
-      StartStep();
-      current_.on_step();
-      return;
-    }
-    busy_ = true;
-    --queued_steps_;
-    current_.on_step();
-    // Nothing can have been due before that step's completion event: run
-    // it here.
+  WTPG_CHECK(busy_);
+  busy_ = false;
+  ++jobs_completed_;
+  if (--current_.steps == 0) {
+    FinishJob();
+    return;
+  }
+  if (!sim_->CanContinueInline()) {
+    // The next step enters service before this step's callback runs, as
+    // the next single job would.
+    StartStep();
+    current_.on_steps(1);
+    return;
+  }
+  // Nothing else is due at Now(): this step and every later one but the
+  // last complete back to back while the last enters service.
+  const size_t steps = current_.steps;
+  jobs_completed_ += steps - 1;
+  queued_steps_ -= steps;
+  busy_ = true;
+  current_.on_steps(steps);
+  WTPG_CHECK(steps == 1 || sim_->CanContinueInline())
+      << name_ << ": a multi-step callback scheduled an event at Now()";
+  // Nothing can have been due before the last step's completion: it
+  // completes here.
+  busy_ = false;
+  ++jobs_completed_;
+  current_.steps = 0;
+  FinishJob();
+}
+
+void FcfsServer::FinishJob() {
+  Callback on_done = std::move(current_.on_done);
+  StepsCallback on_steps = std::move(current_.on_steps);
+  // Start the next job before running the callback so that work submitted
+  // from inside the callback queues behind already-waiting jobs.
+  StartNext();
+  if (on_steps) {
+    on_steps(1);
+  } else if (on_done) {
+    on_done();
   }
 }
 

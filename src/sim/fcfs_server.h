@@ -17,14 +17,22 @@ namespace wtpgsched {
 // A multi-step job (SubmitSteps) is N zero-cost jobs sharing one callback,
 // served back to back. Its steps behave exactly like N single jobs: each
 // step enters service when the previous one completes, before the previous
-// step's callback runs. When no other event is due at Now(), the
-// single-job path's next event would be that step's own completion, so the
-// server runs it inline instead of through the event queue. Otherwise it
-// schedules the completion at Now(), as a single job would. Only
-// events_executed() and pending_events() can tell the two paths apart.
+// step's callback runs, and the last step's callback runs after the next
+// job has entered service. The first step completes as an event. Then, when
+// no other event is due at Now(), every step but the last would complete
+// back to back before anything else runs, so the server hands them to one
+// callback, on_steps(n), while the last step is in service; the last step
+// follows as on_steps(1). Otherwise each step completes as an event at
+// Now(), as a single job would, and gets its own on_steps(1). A callback
+// given n > 1 steps must schedule no event at Now() (CHECKed): the steps
+// after the first would have run ahead of it. Only events_executed() and
+// pending_events() tell the paths apart.
 class FcfsServer {
  public:
   using Callback = InplaceFunction<void(), EventQueue::kInlineCallbackBytes>;
+  // on_steps(n) completes the next n steps of a multi-step job.
+  using StepsCallback =
+      InplaceFunction<void(size_t), EventQueue::kInlineCallbackBytes>;
 
   FcfsServer(Simulator* sim, std::string name);
   FcfsServer(const FcfsServer&) = delete;
@@ -34,10 +42,10 @@ class FcfsServer {
   // the job finishes. Zero service time is allowed (still FIFO-ordered).
   void Submit(SimTime service_time, Callback on_complete);
 
-  // Enqueues one job of `steps` (> 0) zero-cost steps; `on_step` fires once
-  // per step, in order. Same schedule as `steps` back-to-back Submit(0, ...)
-  // calls with the same callback (see the class comment).
-  void SubmitSteps(size_t steps, Callback on_step);
+  // Enqueues one job of `steps` (> 0) zero-cost steps; `on_steps` covers
+  // them in order, several per call when it can. Same schedule as `steps`
+  // back-to-back Submit(0, ...) calls (see the class comment).
+  void SubmitSteps(size_t steps, StepsCallback on_steps);
 
   bool busy() const { return busy_; }
   // Steps waiting behind the one in service (a single job is one step).
@@ -56,7 +64,8 @@ class FcfsServer {
   struct Job {
     SimTime service_time = 0;  // Per step.
     size_t steps = 0;          // Steps not yet completed.
-    Callback on_step;
+    Callback on_done;          // A single job's.
+    StepsCallback on_steps;    // A multi-step job's.
   };
 
   void Enqueue(Job job);
@@ -66,6 +75,9 @@ class FcfsServer {
   // after its service time.
   void StartStep();
   void OnStepDone();
+  // The job's last step has completed: starts the next job, then runs the
+  // step's callback.
+  void FinishJob();
 
   Simulator* const sim_;
   const std::string name_;

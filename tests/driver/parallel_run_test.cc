@@ -1,6 +1,7 @@
 // Determinism tests for the parallel experiment harness: for any jobs value
-// the batch runner must produce byte-identical aggregates to the serial
-// path, and concurrent replicas must not bleed state into each other.
+// the batch runner must produce exactly the serial path's aggregates
+// (operator==, field by field), and concurrent replicas must not bleed
+// state into each other.
 
 #include <thread>
 #include <vector>
@@ -32,12 +33,11 @@ const Pattern& TestPattern() {
 
 TEST(ParallelRunTest, AggregateByteIdenticalAcrossJobCounts) {
   const SimConfig c = QuickConfig(SchedulerKind::kLow);
-  const std::string serial =
-      RunAggregate(c, TestPattern(), /*num_seeds=*/4, /*jobs=*/1).ToJson();
+  const AggregateResult serial =
+      RunAggregate(c, TestPattern(), /*num_seeds=*/4, /*jobs=*/1);
   for (int jobs : {2, 8}) {
-    const std::string parallel =
-        RunAggregate(c, TestPattern(), 4, jobs).ToJson();
-    EXPECT_EQ(serial, parallel) << "jobs=" << jobs;
+    const AggregateResult parallel = RunAggregate(c, TestPattern(), 4, jobs);
+    EXPECT_TRUE(serial == parallel) << "jobs=" << jobs;
   }
 }
 
@@ -52,7 +52,7 @@ TEST(ParallelRunTest, ReplicasReturnInSubmissionOrder) {
   ASSERT_EQ(batch.size(), configs.size());
   for (size_t i = 0; i < configs.size(); ++i) {
     const RunStats solo = RunSimulation(configs[i], TestPattern());
-    EXPECT_EQ(batch[i].ToJson(), solo.ToJson()) << "replica " << i;
+    EXPECT_TRUE(batch[i] == solo) << "replica " << i;
   }
 }
 
@@ -64,7 +64,7 @@ TEST(ParallelRunTest, SweepIdenticalAcrossJobCounts) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_DOUBLE_EQ(serial[i].lambda_tps, parallel[i].lambda_tps);
-    EXPECT_EQ(serial[i].result.ToJson(), parallel[i].result.ToJson());
+    EXPECT_TRUE(serial[i].result == parallel[i].result) << "rate " << i;
   }
 }
 
@@ -73,7 +73,7 @@ TEST(ParallelRunTest, TuneMplIdenticalAcrossJobCounts) {
   const MplChoice serial = TuneMpl(c, TestPattern(), {1, 4, 16}, 2, 1);
   const MplChoice parallel = TuneMpl(c, TestPattern(), {1, 4, 16}, 2, 8);
   EXPECT_EQ(serial.mpl, parallel.mpl);
-  EXPECT_EQ(serial.result.ToJson(), parallel.result.ToJson());
+  EXPECT_TRUE(serial.result == parallel.result);
 }
 
 TEST(ParallelRunTest, FindRateIdenticalAndReportsSeeds) {
@@ -135,18 +135,15 @@ TEST(ParallelRunTest, ConcurrentMachinesDoNotBleedState) {
   SimConfig low = QuickConfig(SchedulerKind::kLow, 0.8);
   SimConfig c2pl = QuickConfig(SchedulerKind::kC2pl, 0.6);
   c2pl.run.seed = 17;
-  const std::string low_expected =
-      RunSimulation(low, TestPattern()).ToJson();
-  const std::string c2pl_expected =
-      RunSimulation(c2pl, TestPattern()).ToJson();
-  std::string low_json, c2pl_json;
-  std::thread t1([&] { low_json = RunSimulation(low, TestPattern()).ToJson(); });
-  std::thread t2(
-      [&] { c2pl_json = RunSimulation(c2pl, TestPattern()).ToJson(); });
+  const RunStats low_expected = RunSimulation(low, TestPattern());
+  const RunStats c2pl_expected = RunSimulation(c2pl, TestPattern());
+  RunStats low_stats, c2pl_stats;
+  std::thread t1([&] { low_stats = RunSimulation(low, TestPattern()); });
+  std::thread t2([&] { c2pl_stats = RunSimulation(c2pl, TestPattern()); });
   t1.join();
   t2.join();
-  EXPECT_EQ(low_json, low_expected);
-  EXPECT_EQ(c2pl_json, c2pl_expected);
+  EXPECT_TRUE(low_stats == low_expected);
+  EXPECT_TRUE(c2pl_stats == c2pl_expected);
 }
 
 TEST(ParallelRunTest, RunAggregatesMatchesPerBaseCalls) {
@@ -158,7 +155,7 @@ TEST(ParallelRunTest, RunAggregatesMatchesPerBaseCalls) {
   for (size_t i = 0; i < bases.size(); ++i) {
     const AggregateResult solo =
         RunAggregate(bases[i], TestPattern(), 2, 1);
-    EXPECT_EQ(batch[i].ToJson(), solo.ToJson()) << "base " << i;
+    EXPECT_TRUE(batch[i] == solo) << "base " << i;
   }
 }
 

@@ -249,7 +249,7 @@ TEST(C2plTest, LockDecisionCostIsDdtime) {
   C2plScheduler sched(MsToTime(1.0));
   Transaction t1 = MakeXTxn(1, {0});
   EXPECT_EQ(sched.LockDecisionCost(t1, 0), MsToTime(1.0));
-  EXPECT_EQ(sched.StartupDecisionCost(t1), 0);
+  EXPECT_EQ(sched.StartupDecisionCost(), 0);
 }
 
 TEST(C2plTest, NoRetryDelayedOnGrant) {

@@ -14,7 +14,7 @@ GowScheduler MakeGow() {
 TEST(GowTest, CostsMatchTable1) {
   GowScheduler sched = MakeGow();
   Transaction t1 = MakeXTxn(1, {0});
-  EXPECT_EQ(sched.StartupDecisionCost(t1), MsToTime(5.0));
+  EXPECT_EQ(sched.StartupDecisionCost(), MsToTime(5.0));
   EXPECT_EQ(sched.LockDecisionCost(t1, 0), MsToTime(30.0));
 }
 

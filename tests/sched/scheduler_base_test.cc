@@ -120,7 +120,7 @@ TEST(WtpgSchedulerBaseTest, GrantOrientsAgainstPendingConflicters) {
 TEST(WtpgSchedulerBaseTest, DefaultCostsAreZero) {
   C2plScheduler sched(/*ddtime=*/MsToTime(1.0));
   Transaction t1 = MakeXTxn(1, {0});
-  EXPECT_EQ(sched.StartupDecisionCost(t1), 0);
+  EXPECT_EQ(sched.StartupDecisionCost(), 0);
   EXPECT_EQ(sched.LockDecisionCost(t1, 0), MsToTime(1.0));
 }
 

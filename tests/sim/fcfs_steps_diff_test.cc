@@ -1,19 +1,23 @@
 // Differential test of FcfsServer::SubmitSteps: a run of N zero-cost jobs
 // submitted as one N-step job must behave exactly like N single zero-cost
-// jobs — same callback order, same instants, same queue_length() and
-// jobs_completed() seen from inside every callback — whether its steps run
-// inline or as events.
+// jobs — same callback order, same instants, and the same queue_length()
+// and jobs_completed() seen from every other callback — whether its steps
+// complete one per event or several per callback.
 //
 // Each stream is a random program: external events (several sharing an
 // instant) submit batches of jobs mixing zero-cost runs with costly jobs,
-// and job callbacks submit more batches and schedule more external events,
-// some at the current instant. The program draws from one RNG in execution
-// order, so the two submission modes see the same program exactly when
-// they execute identically; any divergence shows up in the logs.
+// and job callbacks submit more batches and schedule more external events.
+// Costly jobs and external events schedule some at the current instant;
+// zero-cost jobs do not, as a callback covering several steps must not.
+// The program draws from one RNG in execution order, so the two submission
+// modes see the same program exactly when they execute identically; any
+// divergence shows up in the logs.
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -76,7 +80,7 @@ class Program {
       const int label = next_label_++;
       if (rng_.NextDouble() < 0.7) {
         if (mode_ == Mode::kSingleJobs) {
-          server_.Submit(0, [this, label] { OnJob(label); });
+          server_.Submit(0, [this, label] { OnJob(label, /*costly=*/false); });
         } else {
           step_labels_.push_back(label);
           ++run;
@@ -84,28 +88,37 @@ class Program {
         continue;
       }
       FlushRun(&run);
-      server_.Submit(rng_.UniformInt(1, 5), [this, label] { OnJob(label); });
+      server_.Submit(rng_.UniformInt(1, 5),
+                     [this, label] { OnJob(label, /*costly=*/true); });
     }
     FlushRun(&run);
   }
 
   void FlushRun(size_t* run) {
     if (*run == 0) return;
-    server_.SubmitSteps(*run, [this] {
-      const int label = step_labels_.front();
-      step_labels_.pop_front();
-      OnJob(label);
+    server_.SubmitSteps(*run, [this](size_t steps) {
+      for (size_t i = 0; i < steps; ++i) {
+        const int label = step_labels_.front();
+        step_labels_.pop_front();
+        OnJob(label, /*costly=*/false);
+      }
     });
     *run = 0;
   }
 
-  void OnJob(int label) {
-    Note(StrCat("job", label));
+  // A zero-cost job's note leaves out the server state, which a callback
+  // covering several steps sees only once.
+  void OnJob(int label, bool costly) {
+    if (costly) {
+      Note(StrCat("job", label));
+    } else {
+      log_.push_back(StrCat("job", label, " t=", sim_.Now()));
+    }
     const double roll = rng_.NextDouble();
     if (roll < 0.25) {
       SubmitBatch();
     } else if (roll < 0.35) {
-      ScheduleExternal(sim_.Now());
+      if (costly) ScheduleExternal(sim_.Now());
     } else if (roll < 0.4) {
       ScheduleExternal(sim_.Now() + rng_.UniformInt(1, 3));
     }
@@ -137,20 +150,47 @@ TEST(FcfsStepsDiffTest, MultiStepJobsMatchSingleJobs) {
   EXPECT_LT(multi_events, single_events);
 }
 
+// (steps, queue_length, jobs_completed) as one on_steps call saw them.
+using StepsCall = std::tuple<size_t, size_t, uint64_t>;
+
 TEST(FcfsStepsDiffTest, StepsCountInQueueAndCompletions) {
   Simulator sim;
   FcfsServer server(&sim, "cpu");
-  std::vector<size_t> queue_seen;
+  std::vector<StepsCall> calls;
   server.Submit(10, nullptr);
-  server.SubmitSteps(3, [&] { queue_seen.push_back(server.queue_length()); });
+  server.SubmitSteps(3, [&](size_t steps) {
+    calls.emplace_back(steps, server.queue_length(), server.jobs_completed());
+  });
   server.Submit(10, nullptr);
   // One job in service; three steps and one job waiting.
   EXPECT_EQ(server.queue_length(), 4u);
   sim.RunToCompletion();
-  EXPECT_EQ(queue_seen, (std::vector<size_t>{2, 1, 0}));
+  // Nothing else is due at t=10: the first two steps complete in one call
+  // while the third is in service, and the third completes after the last
+  // job has entered service.
+  EXPECT_EQ(calls, (std::vector<StepsCall>{{2, 1, 3}, {1, 0, 4}}));
   EXPECT_EQ(server.jobs_completed(), 5u);
   EXPECT_EQ(server.queue_length(), 0u);
   EXPECT_EQ(server.busy_time(), 20);
+}
+
+TEST(FcfsStepsDiffTest, OneStepPerEventWhileAnotherEventIsDue) {
+  Simulator sim;
+  FcfsServer server(&sim, "cpu");
+  std::vector<StepsCall> calls;
+  // An event due at every step's instant, as long as the job runs.
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    if (++ticks < 10) sim.ScheduleAfter(0, [&] { tick(); });
+  };
+  sim.ScheduleAt(0, [&] { tick(); });
+  server.SubmitSteps(4, [&](size_t steps) {
+    calls.emplace_back(steps, server.queue_length(), server.jobs_completed());
+  });
+  sim.RunToCompletion();
+  EXPECT_EQ(calls, (std::vector<StepsCall>{
+                       {1, 2, 1}, {1, 1, 2}, {1, 0, 3}, {1, 0, 4}}));
+  EXPECT_EQ(server.jobs_completed(), 4u);
 }
 
 }  // namespace
