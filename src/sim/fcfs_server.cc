@@ -11,13 +11,14 @@ FcfsServer::FcfsServer(Simulator* sim, std::string name)
 
 void FcfsServer::Submit(SimTime service_time, Callback on_complete) {
   WTPG_CHECK_GE(service_time, 0);
-  Enqueue(Job{service_time, 1, std::move(on_complete), nullptr});
+  Enqueue(Job{service_time, 1, false, std::move(on_complete)});
 }
 
 void FcfsServer::SubmitSteps(size_t steps, StepsCallback on_steps) {
   WTPG_CHECK_GT(steps, 0u);
   WTPG_CHECK(on_steps);
-  Enqueue(Job{0, steps, nullptr, std::move(on_steps)});
+  step_callbacks_.push_back(std::move(on_steps));
+  Enqueue(Job{0, steps, true, nullptr});
 }
 
 void FcfsServer::Enqueue(Job job) {
@@ -31,6 +32,10 @@ void FcfsServer::StartNext() {
   if (queue_.empty()) return;
   current_ = std::move(queue_.front());
   queue_.pop_front();
+  if (current_.multi_step) {
+    on_steps_ = std::move(step_callbacks_.front());
+    step_callbacks_.pop_front();
+  }
   StartStep();
 }
 
@@ -53,7 +58,7 @@ void FcfsServer::OnStepDone() {
     // The next step enters service before this step's callback runs, as
     // the next single job would.
     StartStep();
-    current_.on_steps(1);
+    on_steps_(1);
     return;
   }
   // Nothing else is due at Now(): this step and every later one but the
@@ -62,7 +67,7 @@ void FcfsServer::OnStepDone() {
   jobs_completed_ += steps - 1;
   queued_steps_ -= steps;
   busy_ = true;
-  current_.on_steps(steps);
+  on_steps_(steps);
   WTPG_CHECK(steps == 1 || sim_->CanContinueInline())
       << name_ << ": a multi-step callback scheduled an event at Now()";
   // Nothing can have been due before the last step's completion: it
@@ -74,16 +79,17 @@ void FcfsServer::OnStepDone() {
 }
 
 void FcfsServer::FinishJob() {
-  Callback on_done = std::move(current_.on_done);
-  StepsCallback on_steps = std::move(current_.on_steps);
   // Start the next job before running the callback so that work submitted
   // from inside the callback queues behind already-waiting jobs.
-  StartNext();
-  if (on_steps) {
+  if (current_.multi_step) {
+    StepsCallback on_steps = std::move(on_steps_);
+    StartNext();
     on_steps(1);
-  } else if (on_done) {
-    on_done();
+    return;
   }
+  Callback on_done = std::move(current_.on_done);
+  StartNext();
+  if (on_done) on_done();
 }
 
 double FcfsServer::Utilization() const {

@@ -64,8 +64,8 @@ class FcfsServer {
   struct Job {
     SimTime service_time = 0;  // Per step.
     size_t steps = 0;          // Steps not yet completed.
+    bool multi_step = false;   // Its callback waits in step_callbacks_.
     Callback on_done;          // A single job's.
-    StepsCallback on_steps;    // A multi-step job's.
   };
 
   void Enqueue(Job job);
@@ -82,7 +82,11 @@ class FcfsServer {
   Simulator* const sim_;
   const std::string name_;
   std::deque<Job> queue_;
+  // The queued multi-step jobs' callbacks, in queue order, kept apart so
+  // that every queued job stays small.
+  std::deque<StepsCallback> step_callbacks_;
   Job current_;  // The job in service while busy_.
+  StepsCallback on_steps_;  // current_'s, when it is a multi-step job.
   bool busy_ = false;
   size_t queued_steps_ = 0;
   SimTime busy_time_ = 0;
