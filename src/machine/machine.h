@@ -46,12 +46,13 @@ namespace wtpgsched {
 // (every scheduler but GOW), a wake sends the whole pool to the CN as one
 // sweep: a multi-step job of one step per member, each deciding its member
 // at the instant a job of its own would (FcfsServer::SubmitSteps). Steps
-// that run back to back in one callback form a batch, and a batch decides
-// each class once, at its earliest member, and again after each grant to
-// it: an admission never turns a refusal into a grant, so the rest of a
-// refused class is refused by arithmetic (RetestBatch). Counters, pool
-// order, trace records and every simulated output equal a member-by-member
-// sweep's.
+// that run back to back in one callback form a batch. A batch walks its
+// members in pool order and decides each class at its earliest member, and
+// again after each grant to it: an admission never turns a refusal into a
+// grant, so the rest of a refused class is refused by arithmetic, and a
+// class refused since the scheduler's admission epoch last changed is
+// refused without a decision (RetestBatch). Counters, pool order, trace
+// records and every simulated output equal a member-by-member sweep's.
 class Machine {
  public:
   Machine(const SimConfig& config, Pattern pattern);
