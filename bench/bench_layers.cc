@@ -40,6 +40,7 @@ constexpr SchedulerKind kSchedulers[] = {
     SchedulerKind::kC2pl};
 constexpr double kRateTps = 1.2;
 constexpr uint64_t kSeed = 1;
+constexpr int kReps = 3;  // Best of kReps per point (1 under --smoke).
 
 struct Point {
   double horizon_s = 0.0;
@@ -88,7 +89,6 @@ double WallPerSimSecond(const Point& point) {
 int main(int argc, char** argv) {
   FlagParser flags;
   flags.AddBool("smoke", false, "short horizons, one repetition");
-  flags.AddInt("reps", 3, "repetitions per point (best taken)");
   flags.AddString("out", "BENCH_layers.json", "result file");
   flags.AddBool("help", false, "print usage");
   const Status status = flags.Parse(argc, argv);
@@ -102,11 +102,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bool smoke = flags.GetBool("smoke");
-  const int reps = smoke ? 1 : static_cast<int>(flags.GetInt("reps"));
-  if (reps < 1) {
-    std::fprintf(stderr, "--reps must be at least 1\n");
-    return 2;
-  }
+  const int reps = smoke ? 1 : kReps;
   const std::vector<double> horizons_s =
       smoke ? std::vector<double>{300, 1'200}
             : std::vector<double>{2'000, 5'000, 10'000, 20'000};

@@ -11,14 +11,15 @@ FcfsServer::FcfsServer(Simulator* sim, std::string name)
 
 void FcfsServer::Submit(SimTime service_time, Callback on_complete) {
   WTPG_CHECK_GE(service_time, 0);
-  Enqueue(Job{service_time, 1, false, std::move(on_complete)});
+  if (!on_complete) on_complete = [] {};
+  Enqueue(Job{service_time, 1, std::move(on_complete)});
 }
 
 void FcfsServer::SubmitSteps(size_t steps, StepsCallback on_steps) {
   WTPG_CHECK_GT(steps, 0u);
   WTPG_CHECK(on_steps);
   step_callbacks_.push_back(std::move(on_steps));
-  Enqueue(Job{0, steps, true, nullptr});
+  Enqueue(Job{0, steps, nullptr});
 }
 
 void FcfsServer::Enqueue(Job job) {
@@ -32,7 +33,7 @@ void FcfsServer::StartNext() {
   if (queue_.empty()) return;
   current_ = std::move(queue_.front());
   queue_.pop_front();
-  if (current_.multi_step) {
+  if (!current_.on_done) {
     on_steps_ = std::move(step_callbacks_.front());
     step_callbacks_.pop_front();
   }
@@ -81,7 +82,7 @@ void FcfsServer::OnStepDone() {
 void FcfsServer::FinishJob() {
   // Start the next job before running the callback so that work submitted
   // from inside the callback queues behind already-waiting jobs.
-  if (current_.multi_step) {
+  if (!current_.on_done) {
     StepsCallback on_steps = std::move(on_steps_);
     StartNext();
     on_steps(1);
@@ -89,7 +90,7 @@ void FcfsServer::FinishJob() {
   }
   Callback on_done = std::move(current_.on_done);
   StartNext();
-  if (on_done) on_done();
+  on_done();
 }
 
 double FcfsServer::Utilization() const {

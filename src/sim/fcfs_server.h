@@ -64,8 +64,10 @@ class FcfsServer {
   struct Job {
     SimTime service_time = 0;  // Per step.
     size_t steps = 0;          // Steps not yet completed.
-    bool multi_step = false;   // Its callback waits in step_callbacks_.
-    Callback on_done;          // A single job's.
+    // A single job's callback, never empty; empty for a multi-step job,
+    // whose callback waits in step_callbacks_ (no flag, so that a queued
+    // job stays as small as a callback allows).
+    Callback on_done;
   };
 
   void Enqueue(Job job);

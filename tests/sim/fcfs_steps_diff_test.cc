@@ -1,23 +1,25 @@
 // Differential test of FcfsServer::SubmitSteps: a run of N zero-cost jobs
 // submitted as one N-step job must behave exactly like N single zero-cost
-// jobs — same callback order, same instants, and the same queue_length()
-// and jobs_completed() seen from every other callback — whether its steps
+// jobs — same callback order, same instants, and the same queue_length(),
+// jobs_completed() and busy() seen from every costly job and external event
+// and from the last step of every on_steps(n) call — whether its steps
 // complete one per event or several per callback.
 //
 // Each stream is a random program: external events (several sharing an
 // instant) submit batches of jobs mixing zero-cost runs with costly jobs,
 // and job callbacks submit more batches and schedule more external events.
-// Costly jobs and external events schedule some at the current instant;
-// zero-cost jobs do not, as a callback covering several steps must not.
-// The program draws from one RNG in execution order, so the two submission
-// modes see the same program exactly when they execute identically; any
-// divergence shows up in the logs.
-
+// Costly jobs, external events and the last step of each run schedule some
+// at the current instant; the other steps do not, as a callback covering
+// several steps must not. The program draws from one RNG in execution
+// order, so the two submission modes see the same program exactly when
+// they execute identically; any divergence shows up in the logs.
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +33,10 @@ namespace wtpgsched {
 namespace {
 
 enum class Mode { kSingleJobs, kMultiStep };
+
+// What a callback of the server saw: queue_length(), jobs_completed() and
+// busy().
+using ServerState = std::tuple<size_t, uint64_t, bool>;
 
 class Program {
  public:
@@ -50,8 +56,15 @@ class Program {
 
   const std::vector<std::string>& log() const { return log_; }
   uint64_t events() const { return sim_.events_executed(); }
+  // The server state each observed zero-cost step saw, by label: every step
+  // of a single-jobs run, the last step of each on_steps call otherwise.
+  const std::map<int, ServerState>& step_states() const {
+    return step_states_;
+  }
 
  private:
+  enum class Kind { kCostly, kStep, kLastStep };
+
   void Note(const std::string& what) {
     log_.push_back(StrCat(what, " t=", sim_.Now(), " q=",
                           server_.queue_length(), " done=",
@@ -74,51 +87,66 @@ class Program {
   void SubmitBatch() {
     if (budget_ <= 0) return;
     const int jobs = static_cast<int>(rng_.UniformInt(0, 6));
-    size_t run = 0;
+    std::vector<int> run;
     for (int i = 0; i < jobs; ++i) {
       --budget_;
       const int label = next_label_++;
       if (rng_.NextDouble() < 0.7) {
-        if (mode_ == Mode::kSingleJobs) {
-          server_.Submit(0, [this, label] { OnJob(label, /*costly=*/false); });
-        } else {
-          step_labels_.push_back(label);
-          ++run;
-        }
+        run.push_back(label);
         continue;
       }
       FlushRun(&run);
-      server_.Submit(rng_.UniformInt(1, 5),
-                     [this, label] { OnJob(label, /*costly=*/true); });
+      server_.Submit(rng_.UniformInt(1, 5), [this, label] {
+        OnJob(label, Kind::kCostly, /*observe=*/true);
+      });
     }
     FlushRun(&run);
   }
 
-  void FlushRun(size_t* run) {
-    if (*run == 0) return;
-    server_.SubmitSteps(*run, [this](size_t steps) {
-      for (size_t i = 0; i < steps; ++i) {
-        const int label = step_labels_.front();
-        step_labels_.pop_front();
-        OnJob(label, /*costly=*/false);
+  void FlushRun(std::vector<int>* run) {
+    if (run->empty()) return;
+    if (mode_ == Mode::kSingleJobs) {
+      for (size_t i = 0; i < run->size(); ++i) {
+        const int label = (*run)[i];
+        const Kind kind = i + 1 == run->size() ? Kind::kLastStep : Kind::kStep;
+        server_.Submit(0, [this, label, kind] {
+          OnJob(label, kind, /*observe=*/true);
+        });
       }
-    });
-    *run = 0;
+    } else {
+      for (size_t i = 0; i < run->size(); ++i) {
+        step_labels_.emplace_back(
+            (*run)[i], i + 1 == run->size() ? Kind::kLastStep : Kind::kStep);
+      }
+      server_.SubmitSteps(run->size(), [this](size_t steps) {
+        for (size_t i = 0; i < steps; ++i) {
+          const auto [label, kind] = step_labels_.front();
+          step_labels_.pop_front();
+          OnJob(label, kind, /*observe=*/i + 1 == steps);
+        }
+      });
+    }
+    run->clear();
   }
 
-  // A zero-cost job's note leaves out the server state, which a callback
-  // covering several steps sees only once.
-  void OnJob(int label, bool costly) {
-    if (costly) {
+  // A zero-cost step's note leaves out the server state, which a callback
+  // covering several steps sees only once; `observe` records it in
+  // step_states_ when this step's callback sees it.
+  void OnJob(int label, Kind kind, bool observe) {
+    if (kind == Kind::kCostly) {
       Note(StrCat("job", label));
     } else {
       log_.push_back(StrCat("job", label, " t=", sim_.Now()));
+      if (observe) {
+        step_states_[label] = {server_.queue_length(),
+                               server_.jobs_completed(), server_.busy()};
+      }
     }
     const double roll = rng_.NextDouble();
     if (roll < 0.25) {
       SubmitBatch();
     } else if (roll < 0.35) {
-      if (costly) ScheduleExternal(sim_.Now());
+      if (kind != Kind::kStep) ScheduleExternal(sim_.Now());
     } else if (roll < 0.4) {
       ScheduleExternal(sim_.Now() + rng_.UniformInt(1, 3));
     }
@@ -128,8 +156,9 @@ class Program {
   const Mode mode_;
   Simulator sim_;
   FcfsServer server_{&sim_, "cpu"};
-  std::deque<int> step_labels_;
+  std::deque<std::pair<int, Kind>> step_labels_;  // Queued steps'.
   std::vector<std::string> log_;
+  std::map<int, ServerState> step_states_;
   int next_label_ = 0;
   int budget_ = 400;
 };
@@ -143,6 +172,11 @@ TEST(FcfsStepsDiffTest, MultiStepJobsMatchSingleJobs) {
     Program multi(seed, Mode::kMultiStep);
     multi.Run();
     ASSERT_EQ(single.log(), multi.log()) << "seed " << seed;
+    for (const auto& [label, state] : multi.step_states()) {
+      const auto it = single.step_states().find(label);
+      ASSERT_NE(it, single.step_states().end()) << "seed " << seed;
+      EXPECT_EQ(it->second, state) << "seed " << seed << " job" << label;
+    }
     single_events += single.events();
     multi_events += multi.events();
   }
