@@ -1,33 +1,27 @@
-// micro_sim_core — before/after microbenchmark of the simulator kernel.
+// micro_sim_core — microbenchmark of the simulator kernel.
 //
-// The pre-rewrite EventQueue (std::function callbacks keyed by id in an
-// unordered_map, tombstoned cancels, wholesale compaction) is embedded below
-// verbatim as LegacyEventQueue, so the "before" numbers are measured live on
-// the same machine rather than trusted from an old file. Four queue
-// workloads (schedule+pop at the measured-realistic queue size, a deep-heap
-// variant, cancel-heavy, steady-state churn) run against
-// both implementations; then one short end-to-end replica per scheduler
-// on the 16-file Experiment-1 pattern, and one LOW replica on the 1M-file
-// open-world mix, report whole-kernel events/sec and wall seconds (best of
-// the same repetitions). Results land in BENCH_sim_core.json and a
-// CSV for per-PR tracking; --smoke shrinks the iteration counts to seconds
-// for the perf-labeled ctest target (also run under ASan, where absolute
-// numbers are meaningless but the workloads double as a stress test).
+// Three workloads drive the production EventQueue alone (schedule+pop at
+// the measured-realistic queue size, a deep-heap variant, steady-state
+// churn); then one short end-to-end replica per scheduler on the 16-file
+// Experiment-1 pattern, and one LOW replica on the 1M-file open-world mix,
+// report whole-kernel events/sec and wall seconds (best of the same
+// repetitions). The end-to-end rows are the ones that decide a kernel
+// change: the queue rows run heaps far deeper than a simulation keeps.
+// Results land in BENCH_sim_core.json and a CSV for per-PR tracking;
+// --smoke shrinks the iteration counts to seconds for the perf-labeled
+// ctest target (also run under ASan, where absolute numbers are
+// meaningless but the workloads double as a stress test).
 //
 // Every run, smoke included, enforces a floor on the Experiment-1 C2PL row:
 // at least 5x the 28,371 events/s C2PL ran at before its deadlock
 // prediction was made cheap (the first BENCH_sim_core.json snapshot in
 // results/BENCH_trajectory.json). The floor is skipped under sanitizers.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "driver/report.h"
@@ -66,104 +60,13 @@ namespace {
 constexpr double kC2plBaselineEventsPerS = 28'371.0;
 
 // ---------------------------------------------------------------------------
-// The pre-rewrite event queue, embedded as the recorded baseline. Identical
-// to src/sim/event_queue.{h,cc} before the indexed-heap rewrite (commit
-// history has the original); only the class name differs.
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void()>;
-  using EventId = uint64_t;
-
-  struct Event {
-    SimTime time;
-    EventId id;
-    Callback callback;
-  };
-
-  EventId Schedule(SimTime at, Callback cb) {
-    const EventId id = next_id_++;
-    heap_.push_back(Entry{at, id});
-    std::push_heap(heap_.begin(), heap_.end(), EntryGreater{});
-    callbacks_.emplace(id, std::move(cb));
-    return id;
-  }
-
-  bool Cancel(EventId id) {
-    if (callbacks_.erase(id) == 0) return false;
-    ++tombstones_;
-    MaybeCompact();
-    return true;
-  }
-
-  bool empty() const { return callbacks_.empty(); }
-  size_t size() const { return callbacks_.size(); }
-
-  SimTime NextTime() {
-    SkipCancelled();
-    return heap_.empty() ? kSimTimeMax : heap_.front().time;
-  }
-
-  Event Pop() {
-    SkipCancelled();
-    WTPG_CHECK(!heap_.empty()) << "Pop() on empty LegacyEventQueue";
-    const Entry top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
-    heap_.pop_back();
-    auto it = callbacks_.find(top.id);
-    Event event{top.time, top.id, std::move(it->second)};
-    callbacks_.erase(it);
-    return event;
-  }
-
- private:
-  struct Entry {
-    SimTime time;
-    EventId id;
-  };
-  struct EntryGreater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;
-    }
-  };
-
-  void SkipCancelled() {
-    while (!heap_.empty() &&
-           callbacks_.find(heap_.front().id) == callbacks_.end()) {
-      std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
-      heap_.pop_back();
-      --tombstones_;
-    }
-  }
-
-  void MaybeCompact() {
-    if (tombstones_ * 2 <= callbacks_.size()) return;
-    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                               [this](const Entry& e) {
-                                 return callbacks_.find(e.id) ==
-                                        callbacks_.end();
-                               }),
-                heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), EntryGreater{});
-    tombstones_ = 0;
-  }
-
-  std::vector<Entry> heap_;
-  std::unordered_map<EventId, Callback> callbacks_;
-  size_t tombstones_ = 0;
-  EventId next_id_ = 1;
-};
-
-// ---------------------------------------------------------------------------
-// Queue workloads, templated over the queue type. Every workload returns the
-// number of queue operations performed; callbacks bump a sink so neither
-// implementation can dead-strip the invocation.
+// Queue workloads. Every workload returns the number of queue operations
+// performed; callbacks bump a sink so the invocation cannot be
+// dead-stripped.
 //
-// The capture is sized like the real call sites (machine pointer, txn id,
-// step, node id — ~40 bytes; see src/machine/machine.cc): inside the dense
-// queue's 48-byte inline budget, beyond std::function's small-buffer
-// threshold. A token capture would hide exactly the allocation the rewrite
-// removes.
+// The capture is 40 bytes: above the kernel's largest (24 bytes, see
+// EventQueue::kInlineCallbackBytes), inside the 48-byte inline budget, and
+// trivially copyable like the kernel's own captures.
 struct Payload {
   uint64_t* sink;
   uint64_t txn;
@@ -188,21 +91,16 @@ double Seconds(std::chrono::steady_clock::time_point start,
 
 // Every drain below mirrors Simulator::Step exactly: NextTime() (the
 // horizon check the simulator makes before every event), then Pop(), then
-// the callback. For the legacy queue NextTime() is not free — it runs
-// SkipCancelled, a hash find of the top id per event — so skipping it
-// would flatter the baseline with an access pattern the simulator never
-// had.
-template <typename Q>
-void Drain(Q& q) {
+// the callback.
+void Drain(EventQueue& q) {
   while (q.NextTime() != kSimTimeMax) {
     q.Pop().callback();
   }
 }
 
 // Batches of schedules at random times (many FIFO ties) drained by pops.
-template <typename Q>
 uint64_t RunSchedulePop(int rounds, int batch, uint64_t* sink) {
-  Q q;
+  EventQueue q;
   Rng rng(20260807);
   uint64_t ops = 0;
   for (int r = 0; r < rounds; ++r) {
@@ -216,36 +114,11 @@ uint64_t RunSchedulePop(int rounds, int batch, uint64_t* sink) {
   return ops;
 }
 
-// Batches where half the events are cancelled before the drain — the
-// workload the tombstone scheme paid for (timeouts cancelled on completion).
-template <typename Q>
-uint64_t RunCancelHeavy(int rounds, int batch, uint64_t* sink) {
-  Q q;
-  Rng rng(20260808);
-  std::vector<typename Q::EventId> ids;
-  uint64_t ops = 0;
-  for (int r = 0; r < rounds; ++r) {
-    ids.clear();
-    for (int i = 0; i < batch; ++i) {
-      ids.push_back(q.Schedule(static_cast<SimTime>(rng.UniformInt(0, 999)),
-                               MakePayload(sink, static_cast<uint64_t>(i))));
-    }
-    for (size_t i = 0; i < ids.size(); i += 2) {
-      WTPG_CHECK(q.Cancel(ids[i]));
-    }
-    Drain(q);
-    ops += 2u * static_cast<uint64_t>(batch) +
-           static_cast<uint64_t>(batch) / 2;
-  }
-  return ops;
-}
-
 // Steady state: a resident set of pending events, each pop scheduling a
 // successor — the shape of a running simulation (server completions,
 // arrivals, timeouts).
-template <typename Q>
 uint64_t RunChurn(int steps, int resident, uint64_t* sink) {
-  Q q;
+  EventQueue q;
   Rng rng(20260809);
   SimTime now = 0;
   for (int i = 0; i < resident; ++i) {
@@ -265,7 +138,6 @@ uint64_t RunChurn(int steps, int resident, uint64_t* sink) {
 
 struct WorkloadResult {
   std::string workload;
-  std::string impl;
   uint64_t ops = 0;
   double seconds = 0.0;
   double mops_per_s = 0.0;
@@ -275,13 +147,11 @@ struct WorkloadResult {
 // arbitrary scheduling stall, so the fastest repetition is the least-noisy
 // estimate of the workload's actual cost (the standard microbenchmark rule:
 // noise only ever adds time).
-template <typename Q>
-WorkloadResult Measure(const std::string& workload, const std::string& impl,
+WorkloadResult Measure(const std::string& workload,
                        uint64_t (*fn)(int, int, uint64_t*), int a, int b,
                        int reps) {
   WorkloadResult r;
   r.workload = workload;
-  r.impl = impl;
   for (int rep = 0; rep < reps; ++rep) {
     uint64_t sink = 0;
     const auto t0 = std::chrono::steady_clock::now();
@@ -374,7 +244,7 @@ int main(int argc, char** argv) {
   // the pending-event population is tiny — mean 3-8, max 11 — because the
   // backlog under load lives in scheduler admission queues, not the event
   // queue. batch=64 is a generous envelope of that regime and is the
-  // headline schedule+pop number; the _deep variant (batch 1024, ~5 heap
+  // headline schedule+pop number; the _deep variant (batch 1024, ten heap
   // levels) and churn (resident 4096) keep the deep-heap regime tracked.
   const int rounds = smoke ? 128 : 32'000;
   const int batch = 64;
@@ -387,24 +257,16 @@ int main(int argc, char** argv) {
 
   struct Spec {
     const char* name;
-    uint64_t (*legacy)(int, int, uint64_t*);
-    uint64_t (*dense)(int, int, uint64_t*);
+    uint64_t (*fn)(int, int, uint64_t*);
     int a, b;
   };
   const Spec specs[] = {
-      {"schedule_pop", &RunSchedulePop<LegacyEventQueue>,
-       &RunSchedulePop<EventQueue>, rounds, batch},
-      {"schedule_pop_deep", &RunSchedulePop<LegacyEventQueue>,
-       &RunSchedulePop<EventQueue>, deep_rounds, deep_batch},
-      {"cancel_heavy", &RunCancelHeavy<LegacyEventQueue>,
-       &RunCancelHeavy<EventQueue>, rounds, batch},
-      {"churn", &RunChurn<LegacyEventQueue>, &RunChurn<EventQueue>,
-       churn_steps, churn_resident},
+      {"schedule_pop", &RunSchedulePop, rounds, batch},
+      {"schedule_pop_deep", &RunSchedulePop, deep_rounds, deep_batch},
+      {"churn", &RunChurn, churn_steps, churn_resident},
   };
 
-  TablePrinter queue_table(
-      {"workload", "legacy Mops/s", "dense Mops/s", "speedup"});
-  std::vector<WorkloadResult> rows;
+  TablePrinter queue_table({"workload", "ops", "Mops/s"});
   std::string queue_json;
   CsvWriter csv;
   const Status csv_status = csv.Open(flags.GetString("out-csv"));
@@ -412,42 +274,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", csv_status.ToString().c_str());
     return 1;
   }
-  csv.WriteHeader({"section", "workload", "impl", "ops", "seconds",
-                   "mops_per_s", "speedup_vs_legacy"});
+  csv.WriteHeader({"section", "workload", "scheduler", "ops", "seconds",
+                   "mops_per_s"});
 
-  double schedule_pop_speedup = 0.0;
   // Two in smoke: its C2PL floor row runs for a few ms, where one
   // descheduling could sink a single measurement below the floor.
   const int reps = smoke ? 2 : 5;
   for (const Spec& spec : specs) {
-    const WorkloadResult legacy = Measure<LegacyEventQueue>(
-        spec.name, "legacy", spec.legacy, spec.a, spec.b, reps);
-    const WorkloadResult dense = Measure<EventQueue>(
-        spec.name, "dense", spec.dense, spec.a, spec.b, reps);
-    const double speedup = legacy.mops_per_s > 0.0
-                               ? dense.mops_per_s / legacy.mops_per_s
-                               : 0.0;
-    if (spec.name == std::string("schedule_pop")) {
-      schedule_pop_speedup = speedup;
-    }
-    queue_table.AddRow({spec.name, FormatDouble(legacy.mops_per_s, 2),
-                        FormatDouble(dense.mops_per_s, 2),
-                        FormatDouble(speedup, 2)});
-    for (const WorkloadResult& r : {legacy, dense}) {
-      JsonWriter row;
-      row.Add("workload", r.workload)
-          .Add("impl", r.impl)
-          .Add("ops", r.ops)
-          .Add("seconds", r.seconds)
-          .Add("mops_per_s", r.mops_per_s)
-          .Add("speedup_vs_legacy",
-               r.impl == "dense" ? speedup : 1.0);
-      if (!queue_json.empty()) queue_json += ',';
-      queue_json += row.ToString();
-      csv.WriteRow({"queue", r.workload, r.impl, StrCat(r.ops),
-                    FormatDouble(r.seconds, 4), FormatDouble(r.mops_per_s, 3),
-                    FormatDouble(r.impl == "dense" ? speedup : 1.0, 3)});
-    }
+    const WorkloadResult r =
+        Measure(spec.name, spec.fn, spec.a, spec.b, reps);
+    queue_table.AddRow(
+        {r.workload, StrCat(r.ops), FormatDouble(r.mops_per_s, 2)});
+    JsonWriter row;
+    row.Add("workload", r.workload)
+        .Add("ops", r.ops)
+        .Add("seconds", r.seconds)
+        .Add("mops_per_s", r.mops_per_s);
+    if (!queue_json.empty()) queue_json += ',';
+    queue_json += row.ToString();
+    csv.WriteRow({"queue", r.workload, "", StrCat(r.ops),
+                  FormatDouble(r.seconds, 4), FormatDouble(r.mops_per_s, 3)});
   }
   queue_table.Print();
 
@@ -495,7 +341,7 @@ int main(int argc, char** argv) {
     e2e_json += row.ToString();
     csv.WriteRow({"end_to_end", r.workload, r.scheduler, StrCat(r.events),
                   FormatDouble(r.seconds, 4),
-                  FormatDouble(r.events_per_s / 1e6, 3), ""});
+                  FormatDouble(r.events_per_s / 1e6, 3)});
   }
   e2e_table.Print();
 
@@ -512,7 +358,6 @@ int main(int argc, char** argv) {
       .Add("hardware_threads", HardwareThreads())
       .Add("sanitized", sanitized)
       .Add("c2pl_floor_events_per_s", c2pl_floor)
-      .Add("schedule_pop_speedup", schedule_pop_speedup)
       .AddRaw("queue", StrCat("[", queue_json, "]"))
       .AddRaw("end_to_end", StrCat("[", e2e_json, "]"));
   const std::string out_path = flags.GetString("out-json");

@@ -111,8 +111,8 @@ void BM_EvaluateGrantCopyReference(benchmark::State& state) {
 BENCHMARK(BM_EvaluateGrantCopyReference)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
 // LOW's actual per-decision pattern: one E(q) plus K competitor E(p)
-// evaluations against the same base graph — the case the memoized critical
-// path distances are designed for.
+// evaluations against the same base graph, each a speculation, a full
+// critical-path DP and a rollback.
 void RunLowDecision(benchmark::State& state, bool copy) {
   const int n = static_cast<int>(state.range(0));
   Wtpg g = RandomGraph(n, 0.2, 7);

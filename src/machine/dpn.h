@@ -55,7 +55,6 @@ class Dpn {
   // Objects of scan work currently queued or in progress.
   double BacklogObjects() const;
 
-  size_t active_cohorts() const { return server_.active_jobs(); }
   double Utilization() const { return server_.Utilization(); }
   SimTime busy_time() const { return server_.busy_time(); }
   uint64_t cohorts_completed() const { return server_.jobs_completed(); }

@@ -433,9 +433,7 @@ void Machine::OnLockDecision(TxnId id) {
       sim_.ScheduleAfter(MsToTime(config_.run.restart_delay_ms), [this, id] {
         RequestStartup(id);
       });
-      for (FileId file : released) WakeFileWaiters(file);
-      RetryDelayed();
-      RetryAdmissions();
+      WakeAfterRelease(released);
       break;
     }
     case DecisionKind::kReject:
@@ -636,9 +634,7 @@ void Machine::OnCommitDone(TxnId id) {
   SlotOf(id).txn.reset();
   --in_flight_;
 
-  for (FileId file : released) WakeFileWaiters(file);
-  RetryDelayed();
-  RetryAdmissions();
+  WakeAfterRelease(released);
 }
 
 // --- Faults ---
@@ -830,9 +826,7 @@ void Machine::FaultAbort(TxnId id, AbortReason reason) {
                  .incarnation = txn.restarts,
                  .value = delay_ms / 1000.0});
   sim_.ScheduleAfter(MsToTime(delay_ms), [this, id] { RequestStartup(id); });
-  for (FileId file : released) WakeFileWaiters(file);
-  RetryDelayed();
-  RetryAdmissions();
+  WakeAfterRelease(released);
 }
 
 void Machine::Unpark(TxnId id) {
@@ -873,6 +867,12 @@ void Machine::ParkDelayed(TxnId id) {
   GetTxn(id).set_state(Transaction::State::kWaitingLock);
   delayed_.push_back(id);
   EnsureFallbackTimer();
+}
+
+void Machine::WakeAfterRelease(const std::vector<FileId>& released) {
+  for (FileId file : released) WakeFileWaiters(file);
+  RetryDelayed();
+  RetryAdmissions();
 }
 
 void Machine::WakeFileWaiters(FileId file) {

@@ -78,7 +78,6 @@ class Machine {
 
   Simulator& simulator() { return sim_; }
   Scheduler& scheduler() { return *scheduler_; }
-  const DataPlacement& placement() const { return placement_; }
   const ScheduleLog& schedule_log() const { return log_; }
   const SimConfig& config() const { return config_; }
 
@@ -180,6 +179,10 @@ class Machine {
   void ParkAdmission(TxnId id);
   void ParkBlocked(TxnId id, FileId file);
   void ParkDelayed(TxnId id);
+  // The one wake path after a commit or an abort releases locks: the
+  // waiters of each released file, in release order, then every delayed
+  // request, then the parked startups.
+  void WakeAfterRelease(const std::vector<FileId>& released);
   void WakeFileWaiters(FileId file);
   void RetryDelayed();
   void RetryAdmissions();

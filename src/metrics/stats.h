@@ -110,9 +110,6 @@ class StatsCollector {
   RunStats Finalize(double cn_utilization, double mean_dpn_utilization,
                     double max_dpn_utilization, uint64_t in_flight) const;
 
-  // Exact retained samples; empty (and not maintained) in sketch mode.
-  const Histogram& response_times() const { return window_responses_.exact; }
-
   // Shared name -> count registry. The collector's own counters live here
   // (under the legacy JSON field names); schedulers and the trace recorder
   // add theirs before Finalize via Scheduler::ExportCounters /

@@ -7,121 +7,33 @@
 
 namespace wtpgsched {
 
-EventQueue::EventId EventQueue::Schedule(SimTime at, Callback cb) {
-  uint32_t index;
-  if (free_head_ != kNullIndex) {
-    index = free_head_;
-    free_head_ = slab_[index].next_free;
+void EventQueue::Schedule(SimTime at, Callback cb) {
+  uint32_t slot = free_head_;
+  if (slot != kNullSlot) {
+    free_head_ = slab_[slot].next_free;
   } else {
-    index = static_cast<uint32_t>(slab_.size());
+    slot = static_cast<uint32_t>(slab_.size());
     slab_.emplace_back();
-    heap_slot_of_.push_back(kNullIndex);
   }
-  Record& r = slab_[index];
-  r.callback = std::move(cb);
-  const size_t slot = heap_.size();
-  heap_.push_back(HeapEntry{at, next_seq_++, index});
-  SiftUp(slot);  // Writes heap_slot_of_[index] at the final position.
-  return MakeId(index, r.generation);
-}
-
-bool EventQueue::Cancel(EventId id) {
-  const uint32_t index = static_cast<uint32_t>(id & 0xffffffffu);
-  const uint32_t generation = static_cast<uint32_t>(id >> 32);
-  if (index >= slab_.size()) return false;
-  Record& r = slab_[index];
-  if (r.generation != generation || heap_slot_of_[index] == kNullIndex) {
-    return false;
-  }
-  RemoveFromHeap(heap_slot_of_[index]);
-  r.callback = nullptr;  // Release the capture eagerly, as erase() used to.
-  Free(index);
-  return true;
+  slab_[slot].callback = std::move(cb);
+  heap_.push_back(Key{at, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later);
 }
 
 SimTime EventQueue::NextTime() const {
-  return heap_.empty() ? kSimTimeMax : heap_[0].time;
+  return heap_.empty() ? kSimTimeMax : heap_.front().time;
 }
 
 EventQueue::Event EventQueue::Pop() {
   WTPG_CHECK(!heap_.empty()) << "Pop() on empty EventQueue";
-  const HeapEntry top = heap_[0];
-  Record& r = slab_[top.idx];
-  Event event{top.time, MakeId(top.idx, r.generation), std::move(r.callback)};
-  RemoveFromHeap(0);
-  Free(top.idx);
-  // The next pop's record is known now; its slab line (larger than the hot
-  // arrays, typically L2) can warm up while the caller runs this callback.
-  if (!heap_.empty()) __builtin_prefetch(&slab_[heap_[0].idx]);
-  return event;
-}
-
-void EventQueue::SiftUp(size_t slot) {
-  const HeapEntry moving = heap_[slot];
-  while (slot > 0) {
-    const size_t parent = (slot - 1) / kArity;
-    if (!Before(moving, heap_[parent])) break;
-    heap_[slot] = heap_[parent];
-    heap_slot_of_[heap_[slot].idx] = static_cast<uint32_t>(slot);
-    slot = parent;
-  }
-  heap_[slot] = moving;
-  heap_slot_of_[moving.idx] = static_cast<uint32_t>(slot);
-}
-
-void EventQueue::RemoveFromHeap(size_t slot) {
-  const HeapEntry last = heap_.back();
+  std::pop_heap(heap_.begin(), heap_.end(), Later);
+  const Key top = heap_.back();
   heap_.pop_back();
-  const size_t n = heap_.size();
-  if (slot == n) return;  // Removed the final leaf; nothing to restore.
-  // Sink the hole to a leaf along the min-child path (d-1 comparisons per
-  // level — the filler is never compared on the way down), then drop the
-  // filler in and sift it up. The filler came from the bottom row, so the
-  // sift-up nearly always stops immediately.
-  // restrict matters: pos (uint32) could alias HeapEntry's uint32 fields as
-  // far as TBAA knows, which would force h[] reloads after every pos store.
-  HeapEntry* const __restrict h = heap_.data();
-  uint32_t* const __restrict pos = heap_slot_of_.data();
-  for (;;) {
-    const size_t first_child = slot * kArity + 1;
-    if (first_child + kArity <= n) {
-      // Full fan of four: pairwise tree-min, selected with index arithmetic
-      // so the compiler cannot reintroduce data-dependent branches (the
-      // min-child choice is close to uniform — a branch here mispredicts
-      // constantly). The two inner mins are independent, keeping the
-      // compare chain two deep instead of three.
-      const size_t a =
-          first_child + static_cast<size_t>(Before(h[first_child + 1],
-                                                   h[first_child]));
-      const size_t b =
-          first_child + 2 +
-          static_cast<size_t>(Before(h[first_child + 3], h[first_child + 2]));
-      const size_t best = a ^ ((a ^ b) & -static_cast<size_t>(Before(h[b], h[a])));
-      h[slot] = h[best];
-      pos[h[slot].idx] = static_cast<uint32_t>(slot);
-      slot = best;
-      continue;
-    }
-    if (first_child >= n) break;
-    size_t best = first_child;  // Partial fan at the ragged bottom node.
-    for (size_t c = first_child + 1; c < n; ++c) {
-      best = best ^ ((best ^ c) & -static_cast<size_t>(Before(h[c], h[best])));
-    }
-    h[slot] = h[best];
-    pos[h[slot].idx] = static_cast<uint32_t>(slot);
-    slot = best;
-  }
-  h[slot] = last;
-  pos[last.idx] = static_cast<uint32_t>(slot);
-  SiftUp(slot);
-}
-
-void EventQueue::Free(uint32_t index) {
-  Record& r = slab_[index];
-  ++r.generation;
-  heap_slot_of_[index] = kNullIndex;
+  Record& r = slab_[top.slot];
+  Event event{top.time, std::move(r.callback)};
   r.next_free = free_head_;
-  free_head_ = index;
+  free_head_ = top.slot;
+  return event;
 }
 
 }  // namespace wtpgsched

@@ -6,17 +6,16 @@
 
 namespace wtpgsched {
 
-EventQueue::EventId Simulator::ScheduleAfter(SimTime delay,
-                                             EventQueue::Callback cb) {
+void Simulator::ScheduleAfter(SimTime delay, EventQueue::Callback cb) {
   // A negative delay is always an upstream cost-accounting bug; silently
   // clamping it to "now" would mask it.
   WTPG_CHECK_GE(delay, 0) << "negative delay passed to ScheduleAfter";
-  return events_.Schedule(now_ + delay, std::move(cb));
+  events_.Schedule(now_ + delay, std::move(cb));
 }
 
-EventQueue::EventId Simulator::ScheduleAt(SimTime at, EventQueue::Callback cb) {
+void Simulator::ScheduleAt(SimTime at, EventQueue::Callback cb) {
   WTPG_CHECK_GE(at, now_) << "cannot schedule events in the past";
-  return events_.Schedule(at, std::move(cb));
+  events_.Schedule(at, std::move(cb));
 }
 
 bool Simulator::Step(SimTime horizon) {

@@ -22,12 +22,10 @@ class Simulator {
   // Schedules `cb` `delay` after the current time. Negative delays are a
   // programming error (CHECK-fails): they always indicate a cost-accounting
   // bug upstream.
-  EventQueue::EventId ScheduleAfter(SimTime delay, EventQueue::Callback cb);
+  void ScheduleAfter(SimTime delay, EventQueue::Callback cb);
 
   // Schedules `cb` at absolute time `at` (>= Now()).
-  EventQueue::EventId ScheduleAt(SimTime at, EventQueue::Callback cb);
-
-  bool Cancel(EventQueue::EventId id) { return events_.Cancel(id); }
+  void ScheduleAt(SimTime at, EventQueue::Callback cb);
 
   // Runs events in order until the queue drains or the clock would pass
   // `horizon`. Events scheduled exactly at `horizon` are executed. The clock

@@ -1,7 +1,6 @@
 #include "wtpg/wtpg.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "util/logging.h"
 
@@ -39,7 +38,6 @@ void Wtpg::AddNode(TxnId id, double remaining) {
   node.id = id;
   node.remaining = remaining;
   node.next_free = -1;
-  node.dist_state = kDistInvalid;
   // neighbors/out/in/in_w were cleared on removal and keep their capacity;
   // stale epoch marks can never equal a future epoch.
 }
@@ -62,10 +60,6 @@ void Wtpg::RemoveNode(TxnId id) {
   const int32_t slot = SlotOrNull(id);
   WTPG_CHECK(slot >= 0) << "RemoveNode: T" << id << " not in WTPG";
   Node& node = slots_[static_cast<size_t>(slot)];
-  // Removing the node removes its out-edges, so every oriented descendant's
-  // distance can shrink. Invalidate while the edges still exist (this also
-  // drops `id`'s own memoized distance, keeping dist_valid_ consistent).
-  InvalidateDownstream(slot);
   for (int32_t nb : node.neighbors) {
     WTPG_CHECK(edges_.Erase(PackSlots(slot, nb)))
         << "RemoveNode: edge not in table";
@@ -91,11 +85,7 @@ void Wtpg::RemoveNode(TxnId id) {
 
 void Wtpg::SetRemaining(TxnId id, double remaining) {
   WTPG_CHECK_GE(remaining, 0.0);
-  const int32_t slot = SlotOf(id);
-  Node& node = slots_[static_cast<size_t>(slot)];
-  if (node.remaining == remaining) return;
-  InvalidateDownstream(slot);
-  node.remaining = remaining;
+  slots_[static_cast<size_t>(SlotOf(id))].remaining = remaining;
 }
 
 double Wtpg::remaining(TxnId id) const {
@@ -157,12 +147,6 @@ void Wtpg::UnmarkOriented(int32_t from, int32_t to) {
       << "journal rollback interleaved with other mutations";
   t.in.pop_back();
   t.in_w.pop_back();
-}
-
-void Wtpg::InvalidateDownstream(int32_t v) {
-  if (dist_valid_ == 0) return;
-  MarkReachable(&v, 1, /*reverse=*/false, &visited_scratch_);
-  for (int32_t d : visited_scratch_) ClearDist(slots_[static_cast<size_t>(d)]);
 }
 
 uint64_t Wtpg::MarkReachable(const int32_t* starts, size_t count, bool reverse,
@@ -235,17 +219,10 @@ bool Wtpg::OrientBatchImpl(TxnId from, const std::vector<TxnId>& targets,
   // x ~> from ~> y predates the batch and the pre-batch closure invariant
   // already oriented (x, y). Forcings cannot cascade (marking x->y with
   // x ∈ A = ancestors(from) adds no reachability beyond x ~> from ~> y),
-  // a forced edge cannot conflict (its reverse would need a node in
-  // A ∩ D', a pre-existing cycle), and D' is closed under reachability,
-  // so it also bounds every node whose memoized distance can change (the
-  // head of every new edge — direct or forced — lies in D').
+  // and a forced edge cannot conflict (its reverse would need a node in
+  // A ∩ D', a pre-existing cycle).
   MarkReachable(new_targets_scratch_.data(), new_targets_scratch_.size(),
                 /*reverse=*/false, &visited_scratch_);
-  if (dist_valid_ > 0) {
-    for (int32_t d : visited_scratch_) {
-      ClearDist(slots_[static_cast<size_t>(d)]);
-    }
-  }
   for (const int32_t y : visited_scratch_) {
     const Node& ny = slots_[static_cast<size_t>(y)];
     // ny.neighbors cannot grow during the closure marks, but iterate by
@@ -272,22 +249,6 @@ bool Wtpg::OrientBatch(TxnId from, const std::vector<TxnId>& targets,
 
 void Wtpg::RollbackToMark(OrientJournal* journal, size_t mark) {
   auto& records = journal->records_;
-  if (records.size() > mark && dist_valid_ > 0) {
-    // A memoized distance can depend on a speculative edge x->y only if the
-    // node is downstream of y. One multi-source DFS from all the heads —
-    // run while the edges are still present, so it covers the downstream
-    // set of every intermediate rollback state — invalidates the region
-    // once instead of once per unmark.
-    heads_scratch_.clear();
-    for (size_t i = mark; i < records.size(); ++i) {
-      heads_scratch_.push_back(SlotOf(records[i].to));
-    }
-    MarkReachable(heads_scratch_.data(), heads_scratch_.size(),
-                  /*reverse=*/false, &visited_scratch_);
-    for (int32_t d : visited_scratch_) {
-      ClearDist(slots_[static_cast<size_t>(d)]);
-    }
-  }
   while (records.size() > mark) {
     const OrientJournal::Record r = records.back();
     records.pop_back();
@@ -315,33 +276,34 @@ bool Wtpg::TryOrient(TxnId from, TxnId to) {
 }
 
 double Wtpg::CriticalPath() const {
-  if (slot_of_.empty()) return 0.0;
+  // Two fresh stamps per call: done - 1 marks a node in progress, done a
+  // node whose distance is final.
+  epoch_ += 2;
+  const uint64_t done = epoch_;
   double critical = 0.0;
   for (const Node& node : slots_) {
     if (node.id == kInvalidTxn) continue;
-    critical = std::max(critical, EvalDist(node));
+    critical = std::max(critical, EvalDist(node, done));
   }
   return critical;
 }
 
-// Longest-path DP over the oriented sub-DAG, memoized on the nodes:
+// Longest-path DP over the oriented sub-DAG:
 //   dist(v) = max(remaining(v), max over oriented u->v of dist(u) + w(u,v))
-// dist/dist_state only ever hold final values; the transient kDistVisiting
-// state guards against cycles (fail loudly, not forever). The in-weights
-// live in the parallel in_w list, so the DP touches no edge table.
-double Wtpg::EvalDist(const Node& node) const {
-  if (node.dist_state == kDistValid) return node.dist;
-  WTPG_CHECK(node.dist_state != kDistVisiting) << "cycle in oriented WTPG";
-  node.dist_state = kDistVisiting;
+// Meeting a node still in progress means a cycle: fail loudly, not
+// forever. The in-weights live in the parallel in_w list, so the DP
+// touches no edge table.
+double Wtpg::EvalDist(const Node& node, uint64_t done) const {
+  if (node.dist_mark == done) return node.dist;
+  WTPG_CHECK(node.dist_mark != done - 1) << "cycle in oriented WTPG";
+  node.dist_mark = done - 1;
   double best = node.remaining;
   for (size_t i = 0; i < node.in.size(); ++i) {
-    best = std::max(
-        best,
-        EvalDist(slots_[static_cast<size_t>(node.in[i])]) + node.in_w[i]);
+    const Node& pred = slots_[static_cast<size_t>(node.in[i])];
+    best = std::max(best, EvalDist(pred, done) + node.in_w[i]);
   }
   node.dist = best;
-  node.dist_state = kDistValid;
-  ++dist_valid_;
+  node.dist_mark = done;
   return best;
 }
 
@@ -462,34 +424,6 @@ bool Wtpg::CheckInvariants() const {
     if (edge.oriented) continue;
     if (HasPath(edge.a, edge.b) || HasPath(edge.b, edge.a)) return false;
   }
-  // Every memoized distance must match a fresh DP (stale memo entries are
-  // exactly the bug class the journal can cause), no node may be stuck in
-  // the transient visiting state, and the valid count must agree.
-  std::vector<double> fresh(slots_.size(), 0.0);
-  std::vector<uint8_t> state(slots_.size(), kDistInvalid);
-  std::function<double(int32_t)> eval = [&](int32_t v) -> double {
-    const size_t vi = static_cast<size_t>(v);
-    if (state[vi] == kDistValid) return fresh[vi];
-    state[vi] = kDistValid;  // Acyclicity already verified above.
-    const Node& node = slots_[vi];
-    double best = node.remaining;
-    for (size_t i = 0; i < node.in.size(); ++i) {
-      best = std::max(best, eval(node.in[i]) + node.in_w[i]);
-    }
-    fresh[vi] = best;
-    return best;
-  };
-  size_t valid = 0;
-  for (size_t s = 0; s < slots_.size(); ++s) {
-    const Node& node = slots_[s];
-    if (node.id == kInvalidTxn) continue;
-    if (node.dist_state == kDistVisiting) return false;
-    if (node.dist_state == kDistValid) {
-      ++valid;
-      if (eval(static_cast<int32_t>(s)) != node.dist) return false;
-    }
-  }
-  if (valid != dist_valid_) return false;
   return true;
 }
 

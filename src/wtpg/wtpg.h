@@ -46,16 +46,15 @@ inline constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
 // The differential suites check every decision path against a naive
 // clone-and-discard oracle (tests/wtpg/reference_wtpg.h).
 //
-// CriticalPath() memoizes the per-node longest-path distances directly on
-// the nodes; mutations invalidate only the nodes whose distance can have
-// changed (the mutated node's oriented descendants), so LOW's K+1
-// evaluations per lock decision share most of the DP instead of re-running
-// it from scratch. Reachability queries stamp epoch marks on the nodes
-// instead of building per-call visited sets, and the DP reads precedence
-// weights from a parallel in-weight list — the hot path performs no
-// per-edge map lookups and no per-call allocations beyond reused scratch.
-// The marks, distances, epoch counter and scratch are mutable: Wtpg is
-// single-threaded by design (the simulator is sequential).
+// CriticalPath() runs the longest-path DP afresh on every call: LOW's
+// graphs stay at a few dozen nodes, and no mutation has to keep distances
+// from an earlier call valid. Reachability queries and the DP stamp epoch
+// marks on the nodes instead of building per-call visited sets, and the DP
+// reads precedence weights from a parallel in-weight list — the hot path
+// performs no per-edge map lookups and no per-call allocations beyond
+// reused scratch. The marks, distances, epoch counter and scratch are
+// mutable: Wtpg is single-threaded by design (the simulator is
+// sequential).
 //
 // Storage is dense: a TxnId maps (once, at the API boundary, through an
 // OpenTable) to a slot in a contiguous node slab recycled through a free
@@ -173,8 +172,6 @@ class Wtpg {
   // Longest T0 -> Tf path over oriented edges:
   //   max over paths (v1, ..., vk): remaining(v1) + sum w(vi -> vi+1).
   // Conflict (unoriented) edges are ignored. Returns 0 for an empty graph.
-  // Memoized: repeated queries after localized mutations only recompute the
-  // distances of nodes downstream of the mutation.
   double CriticalPath() const;
 
   // All nodes (ascending id).
@@ -198,8 +195,7 @@ class Wtpg {
 
   // Verifies internal invariants (edges reference live nodes; adjacency
   // lists consistent; oriented subgraph acyclic; closure fully applied;
-  // memoized distances match a fresh recomputation; slot map, free list and
-  // edge table self-consistent). For tests.
+  // slot map, free list and edge table self-consistent). For tests.
   bool CheckInvariants() const;
 
  private:
@@ -207,10 +203,6 @@ class Wtpg {
   // the epoch marks and DFS scratch below: GOW CHECKs it on every
   // admission test.
   friend bool IsChainForm(const Wtpg& g);
-
-  // Memoized-distance states. kDistVisiting only exists transiently inside
-  // CriticalPath(); it doubles as the cycle guard.
-  enum : uint8_t { kDistInvalid = 0, kDistValid = 1, kDistVisiting = 2 };
 
   struct Node {
     TxnId id = kInvalidTxn;  // kInvalidTxn marks a free slot.
@@ -221,12 +213,13 @@ class Wtpg {
     std::vector<double> in_w;        // Parallel to `in`: w(other -> this).
     int32_t next_free = -1;          // Free-list link while the slot is free.
     // Scratch for the epoch-stamped reachability DFS (forward / reverse
-    // slots so an ancestor set and a descendant set can coexist) and the
-    // memoized longest-path distance. Mutable: queries are logically const.
+    // slots so an ancestor set and a descendant set can coexist) and for
+    // CriticalPath()'s longest-path distance, which is final in the call
+    // whose stamp dist_mark holds. Mutable: queries are logically const.
     mutable uint64_t mark_fwd = 0;
     mutable uint64_t mark_rev = 0;
+    mutable uint64_t dist_mark = 0;
     mutable double dist = 0.0;
-    mutable uint8_t dist_state = kDistInvalid;
   };
 
   // The edge table's key: the edge's two node slots, smaller slot in the
@@ -255,10 +248,7 @@ class Wtpg {
   // the two slots as neighbors; CHECK-fails on duplicates.
   Edge* InsertEdge(int32_t sa, int32_t sb, const Edge& edge);
   // Marks the edge oriented, updates adjacency, and (if non-null) records
-  // the mark into *journal. The edge must be unoriented. Does NOT
-  // invalidate memoized distances: every caller sits inside a batch
-  // (OrientBatchImpl, RollbackToMark) that invalidates the whole affected
-  // downstream region once.
+  // the mark into *journal. The edge must be unoriented.
   void MarkOriented(int32_t from, int32_t to, OrientJournal* journal);
 
   // Exact inverse of MarkOriented. CHECKs that the adjacency pushes are
@@ -284,18 +274,9 @@ class Wtpg {
   uint64_t MarkReachable(const int32_t* starts, size_t count, bool reverse,
                          std::vector<int32_t>* out) const;
 
-  // Invalidates the memoized distance of every oriented descendant of slot
-  // `v` (including `v`). Call while the relevant edges still exist.
-  void InvalidateDownstream(int32_t v);
-
-  // Drops one node's memoized distance, keeping dist_valid_ in step.
-  void ClearDist(const Node& node) const {
-    if (node.dist_state == kDistValid) --dist_valid_;
-    node.dist_state = kDistInvalid;
-  }
-
-  // The memoized longest-path DP over the in-edges of `node`.
-  double EvalDist(const Node& node) const;
+  // The longest-path distance of `node` in the CriticalPath() call whose
+  // final stamp is `done` (done - 1 marks a node in progress).
+  double EvalDist(const Node& node, uint64_t done) const;
 
   // Dense node slab: live slots hold id != kInvalidTxn, free slots chain
   // through next_free. Recycled slots keep their vectors' capacity, so a
@@ -306,16 +287,13 @@ class Wtpg {
   // table's empty marker); every internal walk uses slots.
   OpenTable<uint64_t, int32_t> slot_of_;
   OpenTable<uint64_t, Edge> edges_;  // Keyed by PackSlots.
-  // Epoch source for MarkReachable and count of nodes whose memoized
-  // distance is currently valid (fast empty test for invalidation).
+  // Epoch source for MarkReachable and CriticalPath.
   mutable uint64_t epoch_ = 0;
-  mutable size_t dist_valid_ = 0;
   // Reused scratch (never live across a public call): the DFS stack, the
-  // visited list handed to MarkReachable, rollback's head collection, and
-  // the newly-oriented target slots of one OrientBatchImpl call.
+  // visited list handed to MarkReachable, and the newly-oriented target
+  // slots of one OrientBatchImpl call.
   mutable std::vector<int32_t> dfs_stack_;
   mutable std::vector<int32_t> visited_scratch_;
-  mutable std::vector<int32_t> heads_scratch_;
   mutable std::vector<int32_t> new_targets_scratch_;
 };
 

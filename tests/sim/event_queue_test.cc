@@ -41,109 +41,28 @@ TEST(EventQueueTest, NextTimeReflectsEarliest) {
   EXPECT_EQ(q.NextTime(), 20);
 }
 
-TEST(EventQueueTest, CancelPreventsDelivery) {
-  EventQueue q;
-  bool fired = false;
-  const EventQueue::EventId id = q.Schedule(10, [&] { fired = true; });
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.NextTime(), kSimTimeMax);
-  EXPECT_FALSE(fired);
-}
-
-TEST(EventQueueTest, CancelTwiceFails) {
-  EventQueue q;
-  const EventQueue::EventId id = q.Schedule(10, [] {});
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_FALSE(q.Cancel(id));
-}
-
-TEST(EventQueueTest, CancelledEntrySkippedOnPop) {
-  EventQueue q;
-  const EventQueue::EventId id = q.Schedule(10, [] {});
-  q.Schedule(20, [] {});
-  q.Cancel(id);
-  const EventQueue::Event e = q.Pop();
-  EXPECT_EQ(e.time, 20);
-}
-
 TEST(EventQueueTest, SizeTracksLiveEvents) {
   EventQueue q;
-  const EventQueue::EventId a = q.Schedule(1, [] {});
+  q.Schedule(1, [] {});
   q.Schedule(2, [] {});
   EXPECT_EQ(q.size(), 2u);
-  q.Cancel(a);
+  q.Pop();
   EXPECT_EQ(q.size(), 1u);
   q.Pop();
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(EventQueueTest, CancelRemovesInPlaceNoTombstones) {
-  // The indexed heap removes cancelled entries immediately: heap_entries()
-  // equals size() at every step, in any cancellation order. (The former
-  // tombstone implementation only guaranteed this after compaction sweeps.)
-  EventQueue q;
-  std::vector<EventQueue::EventId> ids;
-  for (int i = 0; i < 100; ++i) ids.push_back(q.Schedule(i, [] {}));
-  EXPECT_EQ(q.heap_entries(), 100u);
-  for (int i = 99; i >= 1; --i) {
-    q.Cancel(ids[static_cast<size_t>(i)]);
-    EXPECT_EQ(q.heap_entries(), q.size());
-  }
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.heap_entries(), 1u);
-  // The surviving event is intact.
-  EXPECT_EQ(q.Pop().time, 0);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueTest, InteriorCancelPreservesOrderAndFifo) {
+TEST(EventQueueTest, InterleavedTimesPreserveOrderAndFifo) {
   EventQueue q;
   std::vector<int> fired;
-  std::vector<EventQueue::EventId> doomed;
   for (int i = 0; i < 8; ++i) {
     q.Schedule(5, [&fired, i] { fired.push_back(i); });  // FIFO batch.
-    doomed.push_back(q.Schedule(50 + i, [] {}));
+    q.Schedule(50 + i, [&fired, i] { fired.push_back(100 + i); });
   }
   q.Schedule(1, [&fired] { fired.push_back(-1); });
-  for (EventQueue::EventId id : doomed) q.Cancel(id);
   while (!q.empty()) q.Pop().callback();
-  EXPECT_EQ(fired, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(EventQueueTest, CancelAllThenReuse) {
-  EventQueue q;
-  std::vector<EventQueue::EventId> ids;
-  for (int i = 0; i < 10; ++i) ids.push_back(q.Schedule(i, [] {}));
-  for (EventQueue::EventId id : ids) q.Cancel(id);
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.heap_entries(), 0u);
-  bool fired = false;
-  q.Schedule(3, [&] { fired = true; });
-  q.Pop().callback();
-  EXPECT_TRUE(fired);
-}
-
-TEST(EventQueueTest, StaleIdNeverCancelsARecycledSlot) {
-  // Slab slots are recycled through a free list, but ids carry the slot's
-  // generation: a handle to a dead event must not reach whatever event now
-  // occupies its slot.
-  EventQueue q;
-  const EventQueue::EventId dead = q.Schedule(10, [] {});
-  ASSERT_TRUE(q.Cancel(dead));
-  bool fired = false;
-  q.Schedule(20, [&] { fired = true; });  // Reuses the freed slot.
-  EXPECT_FALSE(q.Cancel(dead)) << "stale id hit the recycled slot";
-  EXPECT_EQ(q.size(), 1u);
-  q.Pop().callback();
-  EXPECT_TRUE(fired);
-}
-
-TEST(EventQueueTest, PoppedIdCannotBeCancelled) {
-  EventQueue q;
-  const EventQueue::EventId id = q.Schedule(10, [] {});
-  q.Pop();
-  EXPECT_FALSE(q.Cancel(id));
+  EXPECT_EQ(fired, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6, 7, 100, 101,
+                                     102, 103, 104, 105, 106, 107}));
 }
 
 }  // namespace

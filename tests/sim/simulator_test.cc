@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,13 +65,36 @@ TEST(SimulatorDeathTest, NegativeDelayChecks) {
   EXPECT_EQ(sim.Now(), 0);
 }
 
-TEST(SimulatorTest, CancelScheduledEvent) {
+// FcfsServer::SubmitSteps and the machine's sweeps run a continuation
+// inline only when CanContinueInline() says it would be the next event
+// anyway; both rest on same-instant events running in schedule order.
+TEST(SimulatorTest, SameInstantEventsRunInScheduleOrder) {
   Simulator sim;
-  bool fired = false;
-  const auto id = sim.ScheduleAfter(10, [&] { fired = true; });
-  EXPECT_TRUE(sim.Cancel(id));
+  // (tag, CanContinueInline()) as each event runs.
+  std::vector<std::pair<int, bool>> seen;
+  const auto record = [&](int tag) {
+    seen.emplace_back(tag, sim.CanContinueInline());
+  };
+  EXPECT_TRUE(sim.CanContinueInline());  // Nothing due at Now() = 0.
+  sim.ScheduleAt(10, [&] {
+    record(1);
+    // Scheduled at Now() from inside a callback: after 2 and 3, which were
+    // already due, in the order scheduled here.
+    sim.ScheduleAt(sim.Now(), [&] { record(4); });
+    sim.ScheduleAfter(0, [&] { record(5); });
+  });
+  sim.ScheduleAt(10, [&] { record(2); });
+  sim.ScheduleAt(10, [&] { record(3); });
+  sim.ScheduleAt(20, [&] { record(6); });
   sim.RunToCompletion();
-  EXPECT_FALSE(fired);
+  // False exactly while another event is due at Now(): 5 is the last one
+  // at 10 (6 waits at 20), and 6 runs on an empty queue.
+  EXPECT_EQ(seen, (std::vector<std::pair<int, bool>>{{1, false},
+                                                     {2, false},
+                                                     {3, false},
+                                                     {4, false},
+                                                     {5, true},
+                                                     {6, true}}));
 }
 
 TEST(SimulatorTest, StepReturnsFalsePastHorizon) {

@@ -104,7 +104,7 @@ TEST(SpeculationDiffTest, RandomSequencesMatchReference) {
           unchanged = true;
           break;
         }
-        case 7: {  // SetRemaining (invalidates memoized distances).
+        case 7: {  // SetRemaining (moves the T0 weight of u).
           const double remaining = rng.UniformReal(0.0, 10.0);
           graph.SetRemaining(u, remaining);
           oracle.SetRemaining(u, remaining);
@@ -154,7 +154,7 @@ TEST(SpeculationDiffTest, FailedOrientBatchRollsBackByteIdentical) {
   ASSERT_TRUE(g.TryOrient(1, 2));
   ASSERT_TRUE(g.TryOrient(2, 3));  // Closure forces 1 -> 3.
   ASSERT_TRUE(g.IsOriented(1, 3));
-  // Warm the memoized distances so rollback must also restore them.
+  // The critical path before the batch, which the rollback must restore.
   const double critical_before = g.CriticalPath();
   const Wtpg snapshot = g;
 
